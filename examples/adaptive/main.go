@@ -72,7 +72,7 @@ func csvTrace(n int) error {
 		nodes[i] = core.NewCrashNode(cfg, i)
 	}
 	rec := trace.NewRecorder()
-	nw := sim.NewNetwork(nodes, sim.WithObserver(rec.Observe))
+	nw := sim.NewNetwork(nodes, sim.WithRoundDigest(rec.ObserveDigest))
 	if err := nw.Run(cfg.TotalRounds() + 1); err != nil {
 		return err
 	}

@@ -74,7 +74,7 @@ func timeline(n int) error {
 	rec := trace.NewRecorder()
 	nw := sim.NewNetwork(simNodes,
 		sim.WithByzantine(byzLinks),
-		sim.WithObserver(rec.Observe),
+		sim.WithRoundDigest(rec.ObserveDigest),
 	)
 	if err := nw.Run(200_000); err != nil {
 		return err

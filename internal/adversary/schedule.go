@@ -4,11 +4,6 @@ import (
 	"renaming/internal/sim"
 )
 
-// scheduleLabel is the legacy DeriveSeed stream label for per-event
-// mid-send filters ("schd"), keyed by slice index. It survives only as
-// the fallback for pre-Salt artifacts; salted events use saltLabel.
-const scheduleLabel uint64 = 0x73636864
-
 // saltLabel is the DeriveSeed stream label for salted mid-send filters
 // ("salt"): mixed with the event's own Salt, never with its position,
 // so the filter is a stable property of the event itself.
@@ -38,9 +33,7 @@ type Event struct {
 	MidSend bool `json:"midSend,omitempty"`
 	// Salt is the event's stable filter identity, assigned once at
 	// generation time and carried through every later mutation or
-	// shrink. Zero marks a legacy (pre-Salt) event, whose filter falls
-	// back to the old slice-index seeding so historical artifacts
-	// replay bit-identically.
+	// shrink.
 	Salt uint64 `json:"salt,omitempty"`
 }
 
@@ -64,7 +57,7 @@ var _ sim.CrashAdversary = (*EventSchedule)(nil)
 func (a *EventSchedule) Crashes(view sim.View) []sim.CrashOrder {
 	var orders []sim.CrashOrder
 	claimed := make(map[int]bool)
-	for idx, ev := range a.Events {
+	for _, ev := range a.Events {
 		if ev.Round != view.Round {
 			continue
 		}
@@ -94,13 +87,7 @@ func (a *EventSchedule) Crashes(view sim.View) []sim.CrashOrder {
 		a.used++
 		order := sim.CrashOrder{Node: node}
 		if ev.MidSend {
-			label := saltLabel ^ ev.Salt
-			if ev.Salt == 0 {
-				// Legacy pre-Salt event: reproduce the historical
-				// index-keyed stream so old artifacts replay unchanged.
-				label = scheduleLabel ^ uint64(idx)<<8
-			}
-			order.Filter = randomHalfFilter(sim.NewRand(a.Seed, label))
+			order.Filter = randomHalfFilter(sim.NewRand(a.Seed, saltLabel^ev.Salt))
 		}
 		orders = append(orders, order)
 	}

@@ -34,9 +34,8 @@ func orderFor(t *testing.T, sched *EventSchedule, view sim.View) sim.CrashOrder 
 // TestMidSendFilterStableUnderEventRemoval is the regression test for
 // the per-event filter identity bug: a later event's delivery filter
 // must be byte-identical after an earlier event is removed — exactly
-// the operation ddmin shrinking performs. Pre-Salt, filters were keyed
-// by slice index, so removing event 0 silently reshuffled event 1's
-// coin flips.
+// the operation ddmin shrinking performs. Filters keyed by slice index
+// would let removing event 0 silently reshuffle event 1's coin flips.
 func TestMidSendFilterStableUnderEventRemoval(t *testing.T) {
 	const n = 64
 	salted := Event{Round: 1, Node: 2, MidSend: true, Salt: 0xfeedface}
@@ -50,26 +49,6 @@ func TestMidSendFilterStableUnderEventRemoval(t *testing.T) {
 		if want[to] != got[to] {
 			t.Fatalf("recipient %d: filter verdict changed from %v to %v after removing an earlier event",
 				to, want[to], got[to])
-		}
-	}
-}
-
-// TestMidSendFilterLegacyIndexFallback: events without a Salt (legacy
-// pre-Salt artifacts) must keep the historical index-keyed stream, so
-// old reproducers replay bit-identically.
-func TestMidSendFilterLegacyIndexFallback(t *testing.T) {
-	const n, seed = 32, int64(7)
-	sched := &EventSchedule{Seed: seed, Events: []Event{
-		{Round: 0, Node: 1, MidSend: true},
-		{Round: 1, Node: 2, MidSend: true},
-	}}
-	got := filterChoices(t, orderFor(t, sched, viewFor(n, 1, nil)).Filter, n)
-	// The legacy stream for slice index 1, reproduced from first
-	// principles.
-	want := filterChoices(t, randomHalfFilter(sim.NewRand(seed, scheduleLabel^uint64(1)<<8)), n)
-	for to := range want {
-		if want[to] != got[to] {
-			t.Fatalf("recipient %d: legacy filter diverged from the index-keyed stream", to)
 		}
 	}
 }

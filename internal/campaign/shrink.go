@@ -156,17 +156,15 @@ func ShrinkByzantine(strat Strategy, fails Fails) (Strategy, error) {
 
 // ArtifactVersion is the current replayable-artifact format. Version 2
 // added the per-event salt (the stable mid-send filter identity of
-// adversary.Event.Salt); an absent or ≤ 1 version marks a legacy
-// artifact whose saltless events replay through the historical
-// index-keyed filter stream, bit-identically to the release that wrote
-// them.
+// adversary.Event.Salt). LoadArtifact accepts exactly this version:
+// older artifacts keyed their mid-send filters by slice index, which no
+// longer replays, and newer ones may carry fields this build misreads.
 const ArtifactVersion = 2
 
 // ReproArtifact is a minimal, replayable reproducer for one violation:
 // everything needed to re-execute the offending run from scratch.
 type ReproArtifact struct {
-	// Version is the artifact format version (see ArtifactVersion);
-	// zero in artifacts written before versioning existed.
+	// Version is the artifact format version (see ArtifactVersion).
 	Version int `json:"version,omitempty"`
 	// Algo, N, BigN, Seed, CommitteeScale, PoolProb reconstruct the
 	// execution configuration.
@@ -363,6 +361,9 @@ func LoadArtifact(path string) (*ReproArtifact, error) {
 	}
 	if a.Version > ArtifactVersion {
 		return nil, fmt.Errorf("campaign: artifact %s: format version %d is newer than this build's %d", path, a.Version, ArtifactVersion)
+	}
+	if a.Version < ArtifactVersion {
+		return nil, fmt.Errorf("campaign: artifact %s: format version %d predates per-event salts (version %d) and cannot be replayed", path, a.Version, ArtifactVersion)
 	}
 	return &a, nil
 }

@@ -21,8 +21,8 @@ func TestShrinkScheduleToPlantedCore(t *testing.T) {
 	// Ensure the core events are present regardless of what the
 	// generator drew.
 	strat.Schedule = append(strat.Schedule,
-		adversary.Event{Round: 9, Node: 3, MidSend: true},
-		adversary.Event{Round: 17, Node: 7, MidSend: true},
+		adversary.Event{Round: 9, Node: 3, MidSend: true, Salt: 0x5a17},
+		adversary.Event{Round: 17, Node: 7, MidSend: true, Salt: 0x5a18},
 	)
 	fails := func(s Strategy) (bool, error) {
 		has := map[int]bool{}
@@ -145,10 +145,10 @@ func TestBrokenOracleDetectShrinkReplay(t *testing.T) {
 }
 
 // TestArtifactVersionAndLegacyReplay: new artifacts carry the current
-// format version; a pre-versioning artifact — no version field, salt-
-// less mid-send events — still loads and replays (the schedule falls
-// back to the historical index-keyed filter stream), and an artifact
-// from a future format is rejected instead of being misread.
+// format version, and LoadArtifact refuses every other version with an
+// error — a pre-salt artifact (no version field, salt-less mid-send
+// events keyed by slice index) can no longer replay faithfully, and an
+// artifact from a future format would be misread.
 func TestArtifactVersionAndLegacyReplay(t *testing.T) {
 	broken := CrashExpectation(32)
 	broken.RoundCeiling = 1
@@ -168,52 +168,31 @@ func TestArtifactVersionAndLegacyReplay(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, "legacy.json")
-	// A hand-rolled pre-Salt artifact: note the mid-send events carry no
-	// "salt" key — exactly what older releases wrote.
-	if err := os.WriteFile(legacy, []byte(`{
-		"algo": "crash", "n": 32, "N": 512, "seed": 99,
-		"invariant": "round-ceiling", "detail": "legacy fixture",
-		"strategy": {
-			"generator": "trickle",
-			"schedule": [
-				{"round": 2, "node": 5, "midSend": true},
-				{"round": 6, "node": 11, "midSend": true}
-			],
-			"scheduleSeed": 1234
+	for name, blob := range map[string]string{
+		// A hand-rolled pre-salt artifact, exactly what version-0 releases
+		// wrote: no "version" key, no "salt" on the mid-send events.
+		"legacy": `{
+			"algo": "crash", "n": 32, "N": 512, "seed": 99,
+			"invariant": "round-ceiling", "detail": "legacy fixture",
+			"strategy": {
+				"generator": "trickle",
+				"schedule": [
+					{"round": 2, "node": 5, "midSend": true},
+					{"round": 6, "node": 11, "midSend": true}
+				],
+				"scheduleSeed": 1234
+			}
+		}`,
+		"version1": `{"version": 1, "algo": "crash", "n": 32, "N": 512, "seed": 1, "invariant": "uniqueness", "strategy": {"generator": "mixed"}}`,
+		"future":   `{"version": 99, "algo": "crash", "n": 32, "N": 512, "seed": 1, "invariant": "uniqueness", "strategy": {"generator": "mixed"}}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArtifact(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Version != 0 {
-		t.Fatalf("legacy artifact reports version %d, want 0", loaded.Version)
-	}
-	for _, ev := range loaded.Strategy.Schedule {
-		if ev.Salt != 0 {
-			t.Fatalf("legacy event grew a salt: %+v", ev)
+		if a, err := LoadArtifact(path); err == nil {
+			t.Fatalf("%s artifact (version %d) accepted", name, a.Version)
 		}
-	}
-	res, viols, err := loaded.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viols) != 0 {
-		t.Fatalf("legacy replay violated the oracle: %+v", viols)
-	}
-	if !res.Unique || res.Crashes != 2 {
-		t.Fatalf("legacy replay wrong: unique=%v crashes=%d, want true/2", res.Unique, res.Crashes)
-	}
-
-	future := filepath.Join(dir, "future.json")
-	if err := os.WriteFile(future, []byte(`{"version": 99, "algo": "crash", "n": 32, "N": 512, "seed": 1, "invariant": "uniqueness", "strategy": {"generator": "mixed"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArtifact(future); err == nil {
-		t.Fatal("future-format artifact accepted")
 	}
 }
 
@@ -247,8 +226,8 @@ func TestShrinkChurnToPlantedCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	strat.Churn = append(strat.Churn,
-		ChurnEvent{Epoch: 3, Event: adversary.Event{Round: 9, Node: 2, MidSend: true}},
-		ChurnEvent{Epoch: 7, Event: adversary.Event{Round: 17, Node: 5, MidSend: true}},
+		ChurnEvent{Epoch: 3, Event: adversary.Event{Round: 9, Node: 2, MidSend: true, Salt: 0x5a19}},
+		ChurnEvent{Epoch: 7, Event: adversary.Event{Round: 17, Node: 5, MidSend: true, Salt: 0x5a1a}},
 	)
 	fails := func(s Strategy) (bool, error) {
 		has := map[int]bool{}

@@ -240,8 +240,9 @@ func Generate(spec GenSpec, seed int64) (Strategy, error) {
 	return generateCrash(spec, seed, rng)
 }
 
-// nonzeroSalt draws an event's stable filter identity. Zero is reserved
-// as the legacy "pre-Salt" marker, so redraw on the (2⁻⁶⁴) collision.
+// nonzeroSalt draws an event's stable filter identity. Zero stays out of
+// the salt space — the artifact schema omits a zero salt — so redraw on
+// the (2⁻⁶⁴) collision.
 func nonzeroSalt(rng *rand.Rand) uint64 {
 	for {
 		if s := rng.Uint64(); s != 0 {

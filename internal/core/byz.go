@@ -117,6 +117,7 @@ type ByzNode struct {
 }
 
 var _ sim.Node = (*ByzNode)(nil)
+var _ sim.Quiescent = (*ByzNode)(nil)
 
 // NewByzNode constructs the correct node at link index idx. Passing a
 // cfg that went through Precompute shares the candidate-pool bitset
@@ -151,13 +152,13 @@ func (node *ByzNode) Output() (int, bool) {
 // Halted implements sim.Node.
 func (node *ByzNode) Halted() bool { return node.halted }
 
-// Quiescent implements sim.Quiescent: a halted node, or a waiting node
-// with no undigested NEW votes, does nothing on an empty inbox — the
-// phWait branch of Step only reads the inbox and the votesDirty flag,
-// never the round number or any randomness — so the engine may elide
-// the call. Committee members (phLoop) drive subprotocol counters every
-// round and are never quiescent.
-func (node *ByzNode) Quiescent() bool {
+// QuiescentAt implements sim.Quiescent, ignoring the round: a halted
+// node, or a waiting node with no undigested NEW votes, does nothing on
+// an empty inbox — the phWait branch of Step only reads the inbox and
+// the votesDirty flag, never the round number or any randomness — so the
+// engine may elide the call. Committee members (phLoop) drive
+// subprotocol counters every round and are never quiescent.
+func (node *ByzNode) QuiescentAt(int) bool {
 	return node.halted || (node.phase == phWait && !node.votesDirty)
 }
 

@@ -67,6 +67,7 @@ type ByzAttacker struct {
 }
 
 var _ sim.Node = (*ByzAttacker)(nil)
+var _ sim.Quiescent = (*ByzAttacker)(nil)
 
 // NewByzAttacker constructs a Byzantine node at link idx with the given
 // behaviour. Like NewByzNode, a Precomputed cfg shares the candidate-
@@ -106,11 +107,11 @@ func (a *ByzAttacker) Output() (int, bool) { return 0, false }
 // can keep attacking) until then.
 func (a *ByzAttacker) Halted() bool { return true }
 
-// Quiescent implements sim.Quiescent for the silent behaviour only: a
-// silent attacker returns nil at every round without touching state or
-// randomness. Every other behaviour acts (or consumes randomness) even
-// on an empty inbox, so it must be stepped.
-func (a *ByzAttacker) Quiescent() bool { return a.behavior == BehaviorSilent }
+// QuiescentAt implements sim.Quiescent for the silent behaviour only,
+// ignoring the round: a silent attacker returns nil at every round
+// without touching state or randomness. Every other behaviour acts (or
+// consumes randomness) even on an empty inbox, so it must be stepped.
+func (a *ByzAttacker) QuiescentAt(int) bool { return a.behavior == BehaviorSilent }
 
 // Step implements sim.Node.
 func (a *ByzAttacker) Step(round int, inbox []sim.Message) sim.Outbox {

@@ -56,6 +56,12 @@ func (cfg CrashConfig) Validate() error {
 	if cfg.N < n {
 		return fmt.Errorf("core: namespace N=%d smaller than n=%d", cfg.N, n)
 	}
+	// Crash payloads travel only in the two-word packed layout, which
+	// holds every field for any N below 2^63 once n <= 2^23.
+	codec := newCrashCodec(cfg)
+	if w := codec.packedWidth(); w > 128 {
+		return fmt.Errorf("core: N=%d with n=%d needs a %d-bit crash payload, beyond the 128-bit packed layout", cfg.N, n, w)
+	}
 	seen := make(map[int]bool, n)
 	for i, id := range cfg.IDs {
 		if id < 1 || id > cfg.N {
@@ -147,13 +153,11 @@ type CrashNode struct {
 	// round r is copied/delivered within round r and read by recipients
 	// in round r+1, while the owner rewrites it no earlier than round
 	// r+3 (the next occurrence of the same schedule slot).
-	outBuf    sim.Outbox    // outbox reused across every round
-	statusBox StatusPayload // the one status box multicast each phase
-	respBuf   []ResponsePayload
+	outBuf sim.Outbox // outbox reused across every round
 
-	// codec and the packed arenas mirror statusBox/respBuf in the
-	// bit-packed wire representation (see crashCodec): the same one-round
-	// slack contract, a quarter the bytes per in-flight payload.
+	// codec and the payload arenas hold the bit-packed wire
+	// representation (see crashCodec): the one status box multicast each
+	// phase, and the committee member's response arena.
 	codec           crashCodec
 	packedStatusBox PackedStatus
 	packedRespBuf   []PackedResponse
@@ -165,7 +169,7 @@ type CrashNode struct {
 }
 
 var _ sim.Node = (*CrashNode)(nil)
-var _ sim.ScheduleQuiescent = (*CrashNode)(nil)
+var _ sim.Quiescent = (*CrashNode)(nil)
 var _ sim.SetUser = (*CrashNode)(nil)
 
 // UseSets implements sim.SetUser: the engine hands the node its
@@ -244,7 +248,7 @@ func (node *CrashNode) EverElected() bool { return node.everElected }
 // checks in tests.
 func (node *CrashNode) State() (interval.Interval, int, int) { return node.iv, node.d, node.p }
 
-// QuiescentAt implements sim.ScheduleQuiescent: an empty inbox is a
+// QuiescentAt implements sim.Quiescent: an empty inbox is a
 // pure no-op in the send-status round (nothing announced, nothing to
 // report) and in the committee round (no statuses to decide on), so the
 // engine may elide those Step calls for the ~n idle nodes each phase.
@@ -285,20 +289,12 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		}
 		// One status box per phase, shared by every copy of the
 		// multicast; recipients read it next round, long before the
-		// next rewrite two rounds later. The box is bit-packed when the
-		// codec's two-word layout fits the namespace.
-		status := StatusPayload{
+		// next rewrite two rounds later.
+		node.packedStatusBox = node.codec.encodeStatus(StatusPayload{
 			ID: node.id, I: node.iv, D: node.d, P: node.p,
 			SizeN: node.cfg.N, SizeSmallN: node.n,
-		}
-		var payload sim.Payload
-		if node.codec.packed {
-			node.packedStatusBox = node.codec.encodeStatus(status)
-			payload = &node.packedStatusBox
-		} else {
-			node.statusBox = status
-			payload = &node.statusBox
-		}
+		})
+		payload := &node.packedStatusBox
 		out := node.outBuf[:0]
 		// Shared-multicast representation: when this node's committee view
 		// matches the phase's canonical set (it always does in failure-free
@@ -401,13 +397,10 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 	}
 	dec := pl.statusDec[:0]
 	for _, msg := range inbox {
-		switch s := msg.Payload.(type) {
-		case *PackedStatus:
+		if s, ok := msg.Payload.(*PackedStatus); ok {
 			dec = dec[:len(dec)+1]
 			codec.decodeStatus(s, &dec[len(dec)-1])
 			statuses = append(statuses, statusMsg{link: msg.From, s: &dec[len(dec)-1]})
-		case *StatusPayload:
-			statuses = append(statuses, statusMsg{link: msg.From, s: s})
 		}
 	}
 	pl.statusDec = dec
@@ -602,7 +595,6 @@ type committeeAggregate struct {
 	encoded   bool
 	encP      int // p stamped into the shared arena
 	packedBuf []PackedResponse
-	respBuf   []ResponsePayload
 }
 
 // committeeAction implements Figure 2 for one member. The inbox-pure
@@ -656,27 +648,15 @@ func (node *CrashNode) committeeShared(round int, inbox []sim.Message) sim.Outbo
 		// members adopt max(own p, maxP), so in the common uniform-p case
 		// everyone reuses these boxes.
 		agg.encP = node.p
-		if node.codec.packed {
-			if cap(agg.packedBuf) < len(pl.respBase) {
-				agg.packedBuf = make([]PackedResponse, len(pl.respBase))
-			}
-			buf := agg.packedBuf[:len(pl.respBase)]
-			for j, resp := range pl.respBase {
-				resp.P = node.p
-				buf[j] = node.codec.encodeResponse(resp)
-			}
-			agg.packedBuf = buf
-		} else {
-			if cap(agg.respBuf) < len(pl.respBase) {
-				agg.respBuf = make([]ResponsePayload, len(pl.respBase))
-			}
-			buf := agg.respBuf[:len(pl.respBase)]
-			for j, resp := range pl.respBase {
-				resp.P = node.p
-				buf[j] = resp
-			}
-			agg.respBuf = buf
+		if cap(agg.packedBuf) < len(pl.respBase) {
+			agg.packedBuf = make([]PackedResponse, len(pl.respBase))
 		}
+		buf := agg.packedBuf[:len(pl.respBase)]
+		for j, resp := range pl.respBase {
+			resp.P = node.p
+			buf[j] = node.codec.encodeResponse(resp)
+		}
+		agg.packedBuf = buf
 		agg.encoded = true
 	}
 	reuse := agg.encP == node.p
@@ -690,48 +670,28 @@ func (node *CrashNode) committeeShared(round int, inbox []sim.Message) sim.Outbo
 		return node.emitResponses(pl)
 	}
 	out := node.outBuf[:0]
-	if node.codec.packed {
-		for j := range pl.respBase {
-			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &agg.packedBuf[j]})
-		}
-	} else {
-		for j := range pl.respBase {
-			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &agg.respBuf[j]})
-		}
+	for j := range pl.respBase {
+		out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &agg.packedBuf[j]})
 	}
 	node.outBuf = out
 	return out
 }
 
 // emitResponses stamps the member's p into the plan's response
-// decisions and encodes them into the node-owned arena (packed when the
-// codec layout fits); recipients read the boxes next round, before the
-// next committee round rewrites them.
+// decisions and encodes them into the node-owned arena; recipients read
+// the boxes next round, before the next committee round rewrites them.
 func (node *CrashNode) emitResponses(pl *committeePlan) sim.Outbox {
 	out := node.outBuf[:0]
-	if node.codec.packed {
-		if cap(node.packedRespBuf) < len(pl.respBase) {
-			node.packedRespBuf = make([]PackedResponse, len(pl.respBase))
-		}
-		packedBuf := node.packedRespBuf[:len(pl.respBase)]
-		for j, resp := range pl.respBase {
-			resp.P = node.p
-			packedBuf[j] = node.codec.encodeResponse(resp)
-			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &packedBuf[j]})
-		}
-		node.packedRespBuf = packedBuf
-	} else {
-		if cap(node.respBuf) < len(pl.respBase) {
-			node.respBuf = make([]ResponsePayload, len(pl.respBase))
-		}
-		respBuf := node.respBuf[:len(pl.respBase)]
-		for j, resp := range pl.respBase {
-			resp.P = node.p
-			respBuf[j] = resp
-			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &respBuf[j]})
-		}
-		node.respBuf = respBuf
+	if cap(node.packedRespBuf) < len(pl.respBase) {
+		node.packedRespBuf = make([]PackedResponse, len(pl.respBase))
 	}
+	packedBuf := node.packedRespBuf[:len(pl.respBase)]
+	for j, resp := range pl.respBase {
+		resp.P = node.p
+		packedBuf[j] = node.codec.encodeResponse(resp)
+		out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &packedBuf[j]})
+	}
+	node.packedRespBuf = packedBuf
 	node.outBuf = out
 	return out
 }
@@ -756,19 +716,16 @@ func (node *CrashNode) nodeAction(round int, inbox []sim.Message) {
 	var lastPacked *PackedResponse
 	var lastDec ResponsePayload
 	for _, msg := range inbox {
-		var r ResponsePayload
-		switch p := msg.Payload.(type) {
-		case *PackedResponse:
-			if p == lastPacked {
-				r = lastDec
-			} else {
-				node.codec.decodeResponse(p, &r)
-				lastPacked, lastDec = p, r
-			}
-		case *ResponsePayload:
-			r = *p
-		default:
+		p, ok := msg.Payload.(*PackedResponse)
+		if !ok {
 			continue
+		}
+		var r ResponsePayload
+		if p == lastPacked {
+			r = lastDec
+		} else {
+			node.codec.decodeResponse(p, &r)
+			lastPacked, lastDec = p, r
 		}
 		if !haveBest || r.D > best.D || (r.D == best.D && interval.Less(r.I, best.I)) {
 			best = r

@@ -18,7 +18,9 @@ import (
 // billed at one bit.
 //
 // Every node derives the codec from the shared CrashConfig, so widths
-// agree across the run without ever being put on the wire.
+// agree across the run without ever being put on the wire. The packed
+// form is the only crash wire representation: CrashConfig.Validate
+// rejects configurations whose fields overflow the two-word layout.
 type crashCodec struct {
 	idBits int // ID ∈ [1, N]
 	ivBits int // interval endpoints ∈ [1, n]
@@ -28,10 +30,6 @@ type crashCodec struct {
 	// payloads — constant per run, precomputed once.
 	statusBits   uint16
 	responseBits uint16
-
-	// packed is false when the fields don't fit the two-word layout
-	// (astronomical N); nodes then fall back to the unpacked structs.
-	packed bool
 
 	sizeN, sizeSmallN int
 	scratch           [2]uint64 // Writer backing, reused across encodes
@@ -49,10 +47,12 @@ func newCrashCodec(cfg CrashConfig) crashCodec {
 	}
 	c.statusBits = uint16(bitsFor(cfg.N) + 2*bitsFor(n) + 2*bitsFor(logn+1))
 	c.responseBits = c.statusBits + 1 // Done flag
-	total := c.idBits + 2*c.ivBits + 2*c.pcBits + 1
-	c.packed = total <= 128
 	return c
 }
+
+// packedWidth is the packed response layout's width in bits (the status
+// layout is one bit narrower); it must fit two words.
+func (c *crashCodec) packedWidth() int { return c.idBits + 2*c.ivBits + 2*c.pcBits + 1 }
 
 // PackedStatus is the wire form of StatusPayload: the same five fields
 // bit-packed into two words. Bits() reports the *billed* width of the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"renaming/internal/adversary"
@@ -178,5 +180,35 @@ func TestCrashDeterminism(t *testing.T) {
 	m2, b2, f2 := run()
 	if m1 != m2 || b1 != b2 || f1 != f2 {
 		t.Fatalf("nondeterministic: (%d,%d,%d) vs (%d,%d,%d)", m1, b1, f1, m2, b2, f2)
+	}
+}
+
+// TestCrashConfigValidate: malformed configurations are errors, never
+// panics — including a namespace whose fields overflow the two-word
+// packed payload layout, the crash path's only wire representation.
+func TestCrashConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  CrashConfig
+		want string // substring of the error; "" = valid
+	}{
+		{"valid", seqConfig(16, 256, 1), ""},
+		{"no nodes", CrashConfig{N: 16}, "no nodes"},
+		{"namespace below n", CrashConfig{N: 1, IDs: []int{1, 2}}, "smaller than"},
+		{"identity out of range", CrashConfig{N: 4, IDs: []int{1, 5}}, "outside"},
+		{"duplicate identity", CrashConfig{N: 4, IDs: []int{3, 3}}, "duplicate"},
+		// N = 2^63-1 and n = 2^24 need 63 + 2·25 + 2·8 + 1 = 130 bits.
+		// The check precedes the identity scan, so the zero identities
+		// (never touched) cost no resident memory.
+		{"payload beyond packed layout", CrashConfig{N: math.MaxInt64, IDs: make([]int, 1<<24)}, "128-bit packed layout"},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -16,9 +16,10 @@
 //
 // Records are rolled up, never per-node: a point's Metrics carries
 // whole-run totals, per-kind counts, and — when profiling is on — the
-// condensed per-round traffic profile from trace.Recorder.Summary. At
-// profile-only scale the harnesses feed a streaming recorder through
-// sim.WithRoundDigest, so nothing the runner retains grows with n; a
+// condensed per-round traffic profile from trace.Recorder.Summary. The
+// harnesses feed that recorder round digests through
+// sim.WithRoundDigest — O(rounds) state — so nothing the runner retains
+// grows with n; a
 // million-node point's record is the same few hundred bytes as a
 // 64-node one (docs/OBSERVABILITY.md documents the schema,
 // docs/MEMORY.md the scaling model).

@@ -6,15 +6,15 @@ package service
 // full-snapshot checkpoint that copied the owner array, the names map,
 // the live view, and the free-list slots every epoch — O(Capacity) work
 // that dominated per-epoch cost at large namespaces (at Capacity 2^20
-// the copies alone were ~12 MB/epoch). The snapshot implementation is
-// retained (takeCheckpoint/restore) as the model the differential
-// property tests run in lockstep with the journal.
+// the copies alone were ~12 MB/epoch). The snapshot survives only as
+// the differential tests' oracle (differential_test.go): every aborted
+// epoch must leave the service bit-identical to a pre-epoch checkpoint.
 //
-// Deliberately NOT journaled, mirroring what the snapshot rollback
-// restored: the uses[] grant counters and totalRecycled keep their
-// increments across an abort (a name handed out by a run that was later
-// rolled back has still been observed by clients, so its next grant is
-// still a recycle), and the epoch counter stays advanced.
+// Deliberately NOT journaled, and not part of that checkpoint: the
+// uses[] grant counters and totalRecycled keep their increments across
+// an abort (a name handed out by a run that was later rolled back has
+// still been observed by clients, so its next grant is still a
+// recycle), and the epoch counter stays advanced.
 
 // opKind tags one journal record with the mutation it undoes.
 type opKind uint8

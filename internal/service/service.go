@@ -207,12 +207,7 @@ type Service struct {
 	addSort   []int
 
 	// jnl is the current epoch's undo journal (journal.go).
-	// snapshotRollback switches RunEpoch's abort path to the retained
-	// full-snapshot implementation — the model the differential property
-	// tests drive in lockstep with the journal. Production epochs always
-	// run journaled.
-	jnl              journal
-	snapshotRollback bool
+	jnl journal
 
 	// Epoch-stamped validation scratch: a map entry is "seen this epoch"
 	// iff it holds the current stamp, so the maps are never cleared —
@@ -380,40 +375,6 @@ func (s *Service) materializeLive() {
 	clear(s.deltaDel)
 }
 
-// checkpoint is the full pre-epoch snapshot: free list, both mapping
-// directions, and the sorted live view. Retained as the rollback
-// *model*: production epochs roll back via the undo journal
-// (journal.go, O(touched)), and the differential property tests drive
-// both implementations in lockstep to prove them equivalent — this copy
-// is O(Capacity) (~12 MB per epoch at Capacity 2^20), which is exactly
-// what the journal removed from the hot path.
-type checkpoint struct {
-	free  FreeListCheckpoint
-	owner []int32
-	names map[int]int
-	live  []int
-}
-
-func (s *Service) takeCheckpoint() checkpoint {
-	s.materializeLive()
-	return checkpoint{
-		free:  s.free.Checkpoint(),
-		owner: append([]int32(nil), s.owner...),
-		names: s.Snapshot(),
-		live:  append([]int(nil), s.live...),
-	}
-}
-
-func (s *Service) restore(cp checkpoint) {
-	s.free.Restore(cp.free)
-	copy(s.owner, cp.owner)
-	s.names = cp.names
-	s.live = cp.live
-	// The checkpoint's live view predates the epoch's edits; drop them.
-	clear(s.deltaAdd)
-	clear(s.deltaDel)
-}
-
 // RunEpoch executes one epoch: release the leavers' names, run the
 // one-shot protocol over the join batch, map surviving ranks onto
 // free-list pops, and commit — or roll the whole epoch back when the
@@ -439,20 +400,9 @@ func (s *Service) RunEpoch(joins []Client, leaves []int) (*EpochResult, error) {
 	leaves = s.leavesBuf
 	s.epoch++
 
-	var cp checkpoint
-	if s.snapshotRollback {
-		cp = s.takeCheckpoint()
-	}
 	s.jnl.reset()
-	rollback := func() {
-		if s.snapshotRollback {
-			s.restore(cp)
-		} else {
-			s.rollbackJournal()
-		}
-	}
 	abort := func(reason string) *EpochResult {
-		rollback()
+		s.rollbackJournal()
 		s.totalAborts++
 		res.Aborted = true
 		res.AbortReason = reason
@@ -480,7 +430,7 @@ func (s *Service) RunEpoch(joins []Client, leaves []int) (*EpochResult, error) {
 		prevSlot := s.free.TailSlot()
 		if err := s.free.Push(name); err != nil {
 			// Unreachable when the tables are consistent; surface loudly.
-			rollback()
+			s.rollbackJournal()
 			return nil, fmt.Errorf("service: epoch %d: %w", epoch, err)
 		}
 		s.jnl.record(opFreePush, int(prevSlot), 0)
@@ -490,7 +440,7 @@ func (s *Service) RunEpoch(joins []Client, leaves []int) (*EpochResult, error) {
 	if len(joins) > 0 {
 		oneShot, err := s.runOneShot(epoch, joins)
 		if err != nil {
-			rollback()
+			s.rollbackJournal()
 			return nil, fmt.Errorf("service: epoch %d: %w", epoch, err)
 		}
 		res.Rounds = oneShot.Rounds

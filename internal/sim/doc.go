@@ -15,27 +15,34 @@
 //
 // # Contracts the packages above rely on
 //
-// Shared-multicast billing: a message addressed to ToAll (broadcast) or
-// ToSet (multicast to a set interned via Sets.InternPhase) is billed as
-// fan-out wire messages (sent-on-the-wire semantics — a crashed
-// recipient still costs the sender, as in the paper's model) but the
-// payload is stored once: recipients covered by exactly one shared
-// source are bound zero-copy to a shared aggregate segment, and the
-// rest receive a per-recipient merge. Expansion to individual copies
-// happens only under mid-send crash filters and rushing previews, in
-// ascending-member order — byte-identical to eager emission (the
-// WithEagerMulticast ablation pins this). Payload implementations must
-// therefore be read-only after Send. Delivered To is unspecified (a
-// bound view keeps the sender's sentinel); nodes identify themselves by
-// their own link index, and From is always the true sender.
+// Shared-multicast billing: a message addressed to ToSet(id) — a set
+// interned via Sets.InternPhase, or ToAll, which is ToSet(0), the
+// universal set [0, n) every run pre-interns — is billed as fan-out wire
+// messages (sent-on-the-wire semantics — a crashed recipient still costs
+// the sender, as in the paper's model) but the payload is stored once:
+// recipients covered by exactly one shared source are bound zero-copy to
+// a shared aggregate segment, and the rest receive a per-recipient
+// merge. A broadcast is just the multicast to the full link set, so
+// every shared target takes this one path. Expansion to individual
+// copies happens only under mid-send crash filters and rushing
+// previews, in ascending-member order — byte-identical to eager
+// emission (the WithEagerMulticast ablation pins this). Payload
+// implementations must therefore be read-only after Send. Delivered To
+// is unspecified (a bound view keeps the sender's sentinel); nodes
+// identify themselves by their own link index, and From is always the
+// true sender.
 //
-// Quiescence: a node implementing Quiescent (or registered through
-// ScheduleQuiescent) vouches that, on rounds where it reports quiescent
-// and its inbox is empty, Step would send nothing and change no state.
-// The engine then skips the node entirely — per-round work is
-// proportional to acted senders and delivered messages, not to n. The
-// contract is one-sided: the engine may still step a quiescent node
-// (e.g. when it has mail), so the vouch must be sound, not tight.
+// Quiescence: a node implementing Quiescent vouches that, on rounds r
+// where QuiescentAt(r) holds and its inbox is empty, Step would send
+// nothing and change no state. The engine then skips the node entirely —
+// per-round work is proportional to acted senders and delivered
+// messages, not to n. The contract is one-sided: the engine may still
+// step a quiescent node (e.g. when it has mail), so the vouch must be
+// sound, not tight.
+//
+// Telemetry: WithRoundDigest is the one per-round traffic hook — totals
+// and per-kind counts, never the delivered messages themselves — and
+// WithRoundEnd runs coordinator hooks after every round's delivery.
 //
 // Determinism at any worker count: every adversary decision — including
 // stateful mid-send crash filters — is evaluated sequentially on the

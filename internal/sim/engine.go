@@ -47,8 +47,7 @@ import (
 // the resulting memory model.
 type engine struct {
 	nodes   []Node
-	quiet   []Quiescent         // nodes[i] as Quiescent, nil if not implemented
-	quietAt []ScheduleQuiescent // nodes[i] as ScheduleQuiescent, nil if not implemented
+	quiet   []Quiescent // nodes[i] as Quiescent, nil if not implemented
 	alive   []bool
 	adv     CrashAdversary
 	metrics *Metrics
@@ -60,7 +59,6 @@ type engine struct {
 	rushing   []bool
 	rushList  []int // indices with rushing set, ascending (frozen at setup)
 	round     int
-	observer  func(round int, delivered []Message)
 	digest    func(RoundDigest)
 	// digestKinds is the reused per-round kind map passed (by reference)
 	// inside RoundDigest; consumers must not retain it across calls.
@@ -136,17 +134,9 @@ type engine struct {
 	keepPool    [][]bool
 	previews    map[int][]Message
 	rushInbox   []Message
-	delivered   []Message
+	roundEnd    []func() // coordinator hooks run at the end of every round
 
-	// expandBufs pools the explicit outboxes that mid-send crash filtering
-	// expands shared entries (ToAll, ToSet) into (keep verdicts are
-	// indexed per wire message). Buffers are reclaimed at the next
-	// evalFilters call, after phaseStep has dropped all outbox references.
-	expandBufs [][]Message
-	expandUsed int
-	roundEnd   []func() // coordinator hooks run at the end of every round
-
-	// Shared-aggregate delivery (ToAll broadcasts and ToSet multicasts).
+	// Shared-aggregate delivery (ToSet multicasts; ToAll is ToSet(0)).
 	// A sender whose round outbox is exactly one unfiltered shared entry
 	// is recorded in its worker's sharedRecs instead of the per-recipient
 	// counters; planShared (coordinator, between count and deliver) carves
@@ -171,29 +161,30 @@ type engine struct {
 	clsGen         []uint32  // per recipient: classification-done stamp
 	mergeList      [][]int32 // per worker: recipients needing a k-way merge
 	mergeSlabs     [2][]inboxSlab
-	wexpand        []expandPool // per worker: mixed-outbox expansion buffers
+	expand         []expandPool // per worker: shared-entry expansion buffers
 }
 
-// sharedRec records one pure-shared sender for the scatter cursors:
-// target is the set id, or -1 for ToAll.
+// sharedRec records one pure-shared sender for the scatter cursors: to
+// is the sender's shared recipient (ToSet sentinel).
 type sharedRec struct {
-	from   int32
-	target int32
+	from int32
+	to   int32
 }
 
 // actSet is one distinct shared target active this round: its aggregate
 // segment (a sender-ordered view into the aggregate slab) and layout.
 type actSet struct {
-	id    int // set id, -1 for ToAll
+	to    int // shared recipient (ToSet sentinel)
 	start int
 	total int
 	seg   []Message
 }
 
-// expandPool is one worker's buffer pool for expanding mixed outboxes
-// (shared entries alongside others) into explicit messages during the
-// count phase; buffers are reclaimed at the worker's next count phase,
-// after the round's outbox references are gone.
+// expandPool is one worker's buffer pool for expanding outboxes with
+// shared entries into explicit messages — mid-send filtered senders on
+// the coordinator (worker 0's pool), mixed outboxes in the count phase.
+// All pools are reclaimed once per round before evalFilters, after
+// phaseStep has dropped the previous round's outbox references.
 type expandPool struct {
 	bufs [][]Message
 	used int
@@ -256,7 +247,6 @@ func (e *engine) reset(nodes []Node) {
 	n := len(nodes)
 	e.nodes = nodes
 	e.quiet = growSpan(e.quiet, n)
-	e.quietAt = growSpan(e.quietAt, n)
 	e.alive = growSpan(e.alive, n)
 	e.crashedAt = growSpan(e.crashedAt, n)
 	e.byzantine = growSpan(e.byzantine, n)
@@ -287,13 +277,7 @@ func (e *engine) reset(nodes []Node) {
 		e.srcGen[i], e.boundGen[i], e.clsGen[i] = 0, 0, 0
 		e.outs[i] = nil
 		e.acted[i] = false
-		e.quiet[i], e.quietAt[i] = nil, nil
-		if q, ok := nodes[i].(Quiescent); ok {
-			e.quiet[i] = q
-		}
-		if q, ok := nodes[i].(ScheduleQuiescent); ok {
-			e.quietAt[i] = q
-		}
+		e.quiet[i], _ = nodes[i].(Quiescent)
 	}
 	e.adv = NoCrashes{}
 	e.peek = nil
@@ -305,7 +289,6 @@ func (e *engine) reset(nodes []Node) {
 	e.metrics.sizeFor(n)
 	e.rushList = e.rushList[:0]
 	e.round = 0
-	e.observer = nil
 	e.digest = nil
 	e.roundEnd = e.roundEnd[:0]
 	e.reqWorkers = 0
@@ -329,8 +312,6 @@ func (e *engine) reset(nodes []Node) {
 	}
 	e.previews = nil
 	e.rushInbox = e.rushInbox[:0]
-	e.delivered = e.delivered[:0]
-	e.expandUsed = 0
 	e.eagerMulticast = false
 	e.aggActive = false
 	e.actSets = e.actSets[:0]
@@ -407,8 +388,8 @@ func (e *engine) finishSetup() {
 	for len(e.mergeList) < p {
 		e.mergeList = append(e.mergeList, nil)
 	}
-	for len(e.wexpand) < p {
-		e.wexpand = append(e.wexpand, expandPool{})
+	for len(e.expand) < p {
+		e.expand = append(e.expand, expandPool{})
 	}
 	// Attach (or detach, under WithEagerMulticast) the interned-set
 	// registry on every node that shares multicasts through it. The
@@ -593,6 +574,10 @@ func (e *engine) StepRound() {
 	if len(e.rushList) > 0 {
 		e.stepRushers()
 	}
+	// phaseStep dropped last round's outboxes, so their expansions are dead.
+	for w := 0; w < e.active; w++ {
+		e.expand[w].used = 0
+	}
 	if len(e.filters) > 0 {
 		e.evalFilters()
 	}
@@ -611,28 +596,6 @@ func (e *engine) StepRound() {
 	e.foldMetrics()
 	if e.digest != nil {
 		e.emitDigest()
-	}
-
-	if e.observer != nil {
-		e.delivered = e.delivered[:0]
-		gen := uint32(e.round) + 1
-		for i := range e.nextInb {
-			if e.nextGen[i] != gen {
-				continue
-			}
-			if e.boundGen[i] == gen {
-				// Zero-copy bound view: its entries carry the sender's
-				// shared To sentinel, so rewrite To while copying into the
-				// observer stream — byte-identical to explicit delivery.
-				for _, m := range e.nextInb[i] {
-					m.To = i
-					e.delivered = append(e.delivered, m)
-				}
-				continue
-			}
-			e.delivered = append(e.delivered, e.nextInb[i]...)
-		}
-		e.observer(e.round, e.delivered)
 	}
 	for _, fn := range e.roundEnd {
 		fn()
@@ -709,49 +672,36 @@ func (e *engine) phaseStep(lo, hi int) {
 		}
 		e.stepped = e.stepped[:0]
 		for i := lo; i < hi; i++ {
-			if e.rushing[i] || !e.shouldStep(i) {
-				continue
+			if e.stepNode(i) {
+				e.stepped = append(e.stepped, i)
 			}
-			inb := e.inboxOf(i)
-			if len(inb) == 0 && e.idleVouched(i) {
-				continue
-			}
-			e.acted[i] = true
-			e.outs[i] = e.nodes[i].Step(e.round, inb)
-			e.stepped = append(e.stepped, i)
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
 		e.outs[i] = nil
 		e.acted[i] = false
-		if e.rushing[i] || !e.shouldStep(i) {
-			continue
-		}
-		inb := e.inboxOf(i)
-		if len(inb) == 0 && e.idleVouched(i) {
-			// The node vouches that this call would be a pure no-op (see
-			// Quiescent); eliding it is observationally identical. acted
-			// stays false, which downstream phases treat as "empty outbox".
-			continue
-		}
-		e.acted[i] = true
-		e.outs[i] = e.nodes[i].Step(e.round, inb)
+		e.stepNode(i)
 	}
 }
 
-// idleVouched reports that node i vouches — through either quiescence
-// contract — that a Step call with an empty inbox this round would be a
-// pure no-op. The decision is a function of the node's own state and
-// the round number only, so it is identical at every worker count.
-func (e *engine) idleVouched(i int) bool {
-	if q := e.quiet[i]; q != nil && q.Quiescent() {
-		return true
+// stepNode steps non-rushing node i against its inbox and reports whether
+// it acted. A node with an empty inbox that vouches (Quiescent) that the
+// call would be a pure no-op is elided: observationally identical, and
+// acted stays false, which downstream phases treat as "empty outbox".
+// The vouch depends only on the node's own state and the round number,
+// so the decision is identical at every worker count.
+func (e *engine) stepNode(i int) bool {
+	if e.rushing[i] || !e.shouldStep(i) {
+		return false
 	}
-	if q := e.quietAt[i]; q != nil && q.QuiescentAt(e.round) {
-		return true
+	inb := e.inboxOf(i)
+	if len(inb) == 0 && e.quiet[i] != nil && e.quiet[i].QuiescentAt(e.round) {
+		return false
 	}
-	return false
+	e.acted[i] = true
+	e.outs[i] = e.nodes[i].Step(e.round, inb)
+	return true
 }
 
 // stepRushers — wave 2, on the coordinator: rushing nodes step with a
@@ -771,34 +721,20 @@ func (e *engine) stepRushers() {
 		}
 		filter := e.filters[i]
 		for _, msg := range e.outs[i] {
-			if msg.To == ToAll {
-				// A shared broadcast reaches every rushing node; expanding
-				// ascending over rushList matches the explicit broadcast's
-				// to = 0..n-1 visit order (and its filter-call order).
+			if msg.To < 0 {
+				// Shared multicast: the rushers that are members, visited
+				// ascending over rushList — the explicit Multicast's
+				// emission (and filter-call) order, at O(rushers·log|set|).
+				members := e.sets.membersOf(msg.To)
 				for _, r := range e.rushList {
-					if filter != nil && !filter(r) {
+					if !containsMember(members, r) || (filter != nil && !filter(r)) {
 						continue
 					}
 					e.previews[r] = append(e.previews[r], Message{From: i, To: r, Payload: msg.Payload})
 				}
 				continue
 			}
-			if msg.To <= toSetBase {
-				// Shared multicast: members are ascending, matching the
-				// explicit Multicast's emission (and filter-call) order.
-				for _, m := range e.sets.membersOf(toSetID(msg.To)) {
-					r := int(m)
-					if !e.rushing[r] {
-						continue
-					}
-					if filter != nil && !filter(r) {
-						continue
-					}
-					e.previews[r] = append(e.previews[r], Message{From: i, To: r, Payload: msg.Payload})
-				}
-				continue
-			}
-			if msg.To < 0 || msg.To >= n || !e.rushing[msg.To] {
+			if msg.To >= n || !e.rushing[msg.To] {
 				continue
 			}
 			if filter != nil && !filter(msg.To) {
@@ -860,14 +796,18 @@ func (e *engine) evalFilters() {
 		delete(e.keepFor, node)
 		e.keepPool = append(e.keepPool, keep[:0])
 	}
-	e.expandUsed = 0
 	for _, s := range e.filterOrder {
 		if !e.acted[s] {
 			continue
 		}
 		filter := e.filters[s]
 		orig := e.outs[s]
-		out := e.expandShared(s)
+		out := orig
+		if hasShared(orig) {
+			// Keep verdicts index one wire message each, so shared entries
+			// are expanded into exactly the explicit emission sequence.
+			out = e.expandOutbox(0, s)
+		}
 		var keep []bool
 		if k := len(e.keepPool); k > 0 {
 			keep = e.keepPool[k-1]
@@ -891,68 +831,48 @@ func (e *engine) evalFilters() {
 			// per-recipient deltas.
 			e.outs[s] = orig
 			e.keepPool = append(e.keepPool, keep[:0])
-			e.expandUsed--
+			e.expand[0].used--
 			continue
 		}
 		e.keepFor[s] = keep
 	}
 }
 
-// expandShared rewrites sender s's outbox with every shared entry (ToAll
-// broadcast, ToSet multicast) expanded into explicit per-recipient
-// messages, so the mid-send keep verdicts index one wire message each —
-// exactly the sequence the explicit representation produced. Runs on the
-// coordinator only, for the (rare) senders crashing mid-send; buffers
-// come from a pool reclaimed once the round's outboxes are dropped.
-func (e *engine) expandShared(s int) Outbox {
-	out := e.outs[s]
-	shared := false
+// hasShared reports whether out holds a shared entry (To < 0).
+func hasShared(out Outbox) bool {
 	for k := range out {
 		if out[k].To < 0 {
-			shared = true
-			break
+			return true
 		}
 	}
-	if !shared {
-		return out
-	}
-	var buf []Message
-	if e.expandUsed < len(e.expandBufs) {
-		buf = e.expandBufs[e.expandUsed][:0]
-	} else {
-		e.expandBufs = append(e.expandBufs, nil)
-	}
-	buf = e.appendExpanded(buf, out)
-	e.expandBufs[e.expandUsed] = buf
-	e.expandUsed++
-	e.outs[s] = buf
-	return buf
+	return false
 }
 
-// appendExpanded appends out to buf with every shared entry expanded into
-// explicit per-recipient messages, in the exact order the eager
-// representation would have emitted them: ToAll ascending over all links,
-// ToSet ascending over the set's members.
-func (e *engine) appendExpanded(buf []Message, out Outbox) []Message {
-	n := len(e.nodes)
-	for _, msg := range out {
-		switch {
-		case msg.To == ToAll:
-			for to := 0; to < n; to++ {
-				buf = append(buf, Message{From: msg.From, To: to, Payload: msg.Payload})
-			}
-		case msg.To <= toSetBase:
-			sid := toSetID(msg.To)
-			if !e.sets.valid(sid) {
-				panic(fmt.Sprintf("sim: message addressed to unknown set %d", sid))
-			}
-			for _, m := range e.sets.membersOf(sid) {
-				buf = append(buf, Message{From: msg.From, To: int(m), Payload: msg.Payload})
-			}
-		default:
+// expandOutbox replaces sender i's outbox with its explicit expansion,
+// built in a buffer from worker w's pool: every shared entry becomes one
+// message per set member, ascending — the exact order the eager
+// representation emits — and everything else is copied verbatim. The
+// coordinator expands mid-send filtered senders through worker 0's pool;
+// each worker expands its mixed outboxes during the count phase and
+// reads them again in its scatter phase.
+func (e *engine) expandOutbox(w, i int) Outbox {
+	p := &e.expand[w]
+	if p.used == len(p.bufs) {
+		p.bufs = append(p.bufs, nil)
+	}
+	buf := p.bufs[p.used][:0]
+	for _, msg := range e.outs[i] {
+		if msg.To >= 0 {
 			buf = append(buf, msg)
+			continue
+		}
+		for _, m := range e.sets.membersOf(msg.To) {
+			buf = append(buf, Message{From: msg.From, To: int(m), Payload: msg.Payload})
 		}
 	}
+	p.bufs[p.used] = buf
+	p.used++
+	e.outs[i] = buf
 	return buf
 }
 
@@ -965,7 +885,6 @@ func (e *engine) phaseCount(w, lo, hi int) {
 	sh := &e.shards[w]
 	anyFilters := len(e.filters) > 0
 	e.sharedRecs[w] = e.sharedRecs[w][:0]
-	e.wexpand[w].used = 0
 	if e.active == 1 {
 		// Coordinator-only round: reset only the counter cells the
 		// previous round dirtied (its traffic recipients — scatter left
@@ -1007,8 +926,8 @@ func (e *engine) phaseCount(w, lo, hi int) {
 // first time its counter leaves zero, so the deliver phase can walk just
 // the recipients with traffic.
 //
-// A sender whose outbox is exactly one unfiltered shared entry (ToAll or
-// ToSet) takes the aggregate path: one addN bills the full fan-out, the
+// A sender whose outbox is exactly one unfiltered shared entry takes the
+// aggregate path: one addN bills the full fan-out, the
 // per-recipient counters stay untouched, and the sender joins the
 // worker's sharedRecs for planShared/scatterShared. An outbox that mixes
 // shared entries with anything else is expanded into explicit messages
@@ -1028,30 +947,20 @@ func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, anyF
 	honest := !e.byzantine[i]
 	if keep == nil && len(out) == 1 && out[0].To < 0 {
 		msg := &out[0]
-		fan, tgt := n, int32(ToAll)
-		if msg.To <= toSetBase {
-			sid := toSetID(msg.To)
-			if !e.sets.valid(sid) {
-				panic(fmt.Sprintf("sim: node %d sent to unknown set %d", i, sid))
-			}
-			fan, tgt = len(e.sets.membersOf(sid)), int32(sid)
-		}
+		fan := int64(len(e.sets.membersOf(msg.To)))
 		// One entry, fan wire messages: Kind/Bits are evaluated once
 		// (payloads are immutable in flight), and addN accounts exactly
 		// as fan consecutive adds would.
-		sh.addN(msg.Payload.Kind(), msg.Payload.Bits(), int64(fan), honest, limit)
-		e.metrics.PerNodeSent[i] += int64(fan)
-		e.sharedRecs[w] = append(e.sharedRecs[w], sharedRec{from: int32(i), target: tgt})
+		sh.addN(msg.Payload.Kind(), msg.Payload.Bits(), fan, honest, limit)
+		e.metrics.PerNodeSent[i] += fan
+		e.sharedRecs[w] = append(e.sharedRecs[w], sharedRec{from: int32(i), to: int32(msg.To)})
 		return
 	}
-	for k := range out {
-		if out[k].To < 0 {
-			// Mixed outbox (shared entries alongside others, or several
-			// shared entries): expand to explicit messages so delivery
-			// order within the sender is preserved verbatim.
-			out = e.expandMixed(w, i, out)
-			break
-		}
+	if hasShared(out) {
+		// Mixed outbox (shared entries alongside others, or several
+		// shared entries): expand to explicit messages so delivery order
+		// within the sender is preserved verbatim.
+		out = e.expandOutbox(w, i)
 	}
 	var sent int64
 	for k := range out {
@@ -1072,24 +981,6 @@ func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, anyF
 		sh.add(msg.Payload.Kind(), msg.Payload.Bits(), honest, limit)
 	}
 	e.metrics.PerNodeSent[i] += sent
-}
-
-// expandMixed replaces sender i's mixed outbox with its explicit
-// expansion from worker w's buffer pool; the same worker reads the
-// rewritten outbox again in its scatter phase.
-func (e *engine) expandMixed(w, i int, out Outbox) Outbox {
-	p := &e.wexpand[w]
-	var buf []Message
-	if p.used < len(p.bufs) {
-		buf = p.bufs[p.used][:0]
-	} else {
-		p.bufs = append(p.bufs, nil)
-	}
-	buf = e.appendExpanded(buf, out)
-	p.bufs[p.used] = buf
-	p.used++
-	e.outs[i] = buf
-	return buf
 }
 
 // planShared runs on the coordinator between the count and deliver
@@ -1116,8 +1007,8 @@ func (e *engine) planShared() {
 	e.aggActive = true
 	for w := 0; w < e.active; w++ {
 		for _, r := range e.sharedRecs[w] {
-			if e.actIdx(r.target) < 0 {
-				e.actSets = append(e.actSets, actSet{id: int(r.target)})
+			if e.actIdx(r.to) < 0 {
+				e.actSets = append(e.actSets, actSet{to: int(r.to)})
 			}
 		}
 	}
@@ -1128,7 +1019,7 @@ func (e *engine) planShared() {
 			cur[i] = 0
 		}
 		for _, r := range e.sharedRecs[w] {
-			cur[e.actIdx(r.target)]++
+			cur[e.actIdx(r.to)]++
 		}
 		e.sharedCur[w] = cur
 	}
@@ -1153,11 +1044,11 @@ func (e *engine) planShared() {
 	}
 }
 
-// actIdx returns the actSets index of target, or -1. Linear: a round has
-// a handful of distinct shared targets at most.
-func (e *engine) actIdx(target int32) int {
+// actIdx returns the actSets index of shared recipient to, or -1.
+// Linear: a round has a handful of distinct shared targets at most.
+func (e *engine) actIdx(to int32) int {
 	for i := range e.actSets {
-		if e.actSets[i].id == int(target) {
+		if e.actSets[i].to == int(to) {
 			return i
 		}
 	}
@@ -1175,7 +1066,7 @@ func (e *engine) scatterShared(w int) {
 	}
 	cur := e.sharedCur[w]
 	for _, r := range recs {
-		idx := e.actIdx(r.target)
+		idx := e.actIdx(r.to)
 		pos := cur[idx]
 		cur[idx] = pos + 1
 		msg := e.outs[r.from][0]
@@ -1193,16 +1084,10 @@ func (e *engine) scatterShared(w int) {
 // The coordinator-only path calls this with the full [0, n) span.
 func (e *engine) deliverShared(w, lo, hi int, stamp uint32) {
 	ml := e.mergeList[w][:0]
-	toAllIdx := -1
+	// Mark this worker's members of every active set; a second source
+	// for the same recipient degrades it to "multiple".
 	for idx := range e.actSets {
-		a := &e.actSets[idx]
-		if a.id == ToAll {
-			toAllIdx = idx
-			continue
-		}
-		// Mark this worker's members of the named set; a second named
-		// source for the same recipient degrades it to "multiple".
-		members := e.sets.membersOf(a.id)
+		members := e.sets.membersOf(e.actSets[idx].to)
 		for j := lowerBound(members, lo); j < len(members) && int(members[j]) < hi; j++ {
 			to := int(members[j])
 			if e.srcGen[to] == stamp {
@@ -1213,74 +1098,39 @@ func (e *engine) deliverShared(w, lo, hi int, stamp uint32) {
 			}
 		}
 	}
-	if toAllIdx >= 0 {
-		// Every recipient has the ToAll segment as a source.
-		for to := lo; to < hi; to++ {
-			ml = e.classifyShared(to, stamp, toAllIdx, ml)
-		}
-	} else {
-		// Only members of an active named set can have a shared source;
-		// walk those, classifying each recipient once.
-		for idx := range e.actSets {
-			members := e.sets.membersOf(e.actSets[idx].id)
-			for j := lowerBound(members, lo); j < len(members) && int(members[j]) < hi; j++ {
-				to := int(members[j])
-				if e.clsGen[to] == stamp {
-					continue
-				}
-				e.clsGen[to] = stamp
-				ml = e.classifyShared(to, stamp, -1, ml)
+	// Only members of an active set have a shared source; walk those,
+	// classifying each recipient once.
+	for idx := range e.actSets {
+		members := e.sets.membersOf(e.actSets[idx].to)
+		for j := lowerBound(members, lo); j < len(members) && int(members[j]) < hi; j++ {
+			to := int(members[j])
+			if e.clsGen[to] == stamp {
+				continue
 			}
+			e.clsGen[to] = stamp
+			ml = e.classifyShared(to, stamp, ml)
 		}
 	}
 	e.mergeList[w] = ml
 }
 
-// classifyShared resolves recipient to's delivery for an aggregate-active
-// round: bind (zero-copy shared view), keep the individual view as-is, or
-// queue for merge. Aggregate receive counts are credited here; individual
-// counts were credited when the view was carved.
-func (e *engine) classifyShared(to int, stamp uint32, toAllIdx int, ml []int32) []int32 {
-	namedIdx, multi := -1, false
-	if e.srcGen[to] == stamp {
-		if e.srcSet[to] == -2 {
-			multi = true
-		} else {
-			namedIdx = int(e.srcSet[to])
+// classifyShared resolves marked recipient to's delivery for an
+// aggregate-active round: bind (zero-copy shared view) or queue for
+// merge. Aggregate receive counts are credited here; individual counts
+// were credited when the view was carved.
+func (e *engine) classifyShared(to int, stamp uint32, ml []int32) []int32 {
+	if idx := e.srcSet[to]; idx >= 0 {
+		a := &e.actSets[idx]
+		e.metrics.PerNodeReceived[to] += int64(a.total)
+		if e.nextGen[to] != stamp {
+			e.nextInb[to] = a.seg
+			e.nextGen[to] = stamp
+			e.boundGen[to] = stamp
+			return ml
 		}
+		return append(ml, int32(to))
 	}
-	var recv int64
-	sources := 0
-	if toAllIdx >= 0 {
-		sources++
-		recv += int64(e.actSets[toAllIdx].total)
-	}
-	if multi {
-		sources += 2
-		for idx := range e.actSets {
-			a := &e.actSets[idx]
-			if a.id != ToAll && containsMember(e.sets.membersOf(a.id), to) {
-				recv += int64(a.total)
-			}
-		}
-	} else if namedIdx >= 0 {
-		sources++
-		recv += int64(e.actSets[namedIdx].total)
-	}
-	if sources == 0 {
-		return ml
-	}
-	e.metrics.PerNodeReceived[to] += recv
-	if sources == 1 && e.nextGen[to] != stamp {
-		idx := toAllIdx
-		if idx < 0 {
-			idx = namedIdx
-		}
-		e.nextInb[to] = e.actSets[idx].seg
-		e.nextGen[to] = stamp
-		e.boundGen[to] = stamp
-		return ml
-	}
+	e.metrics.PerNodeReceived[to] += int64(e.aggLenFor(to))
 	return append(ml, int32(to))
 }
 
@@ -1317,10 +1167,7 @@ func (e *engine) phaseMerge(w int) {
 		}
 		for idx := range e.actSets {
 			a := &e.actSets[idx]
-			if a.total == 0 {
-				continue
-			}
-			if a.id == ToAll || containsMember(e.sets.membersOf(a.id), to) {
+			if a.total > 0 && containsMember(e.sets.membersOf(a.to), to) {
 				srcs = append(srcs, a.seg)
 			}
 		}
@@ -1356,10 +1203,7 @@ func (e *engine) aggLenFor(to int) int {
 	var total int
 	for idx := range e.actSets {
 		a := &e.actSets[idx]
-		if a.total == 0 {
-			continue
-		}
-		if a.id == ToAll || containsMember(e.sets.membersOf(a.id), to) {
+		if a.total > 0 && containsMember(e.sets.membersOf(a.to), to) {
 			total += a.total
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -82,9 +83,9 @@ func (a *sharedRNGAdversary) Crashes(v View) []CrashOrder {
 
 // runDetScenario executes a fixed adversarial scenario (crashes with
 // shared-rng mid-send filters, Byzantine and rushing links, a CONGEST
-// budget, an observer) at the given engine worker count and returns a
-// fingerprint of everything observable: the per-round wire stream, final
-// node states, crash schedule, and every metric.
+// budget, a round-end wire recorder) at the given engine worker count
+// and returns a fingerprint of everything observable: the per-round
+// wire stream, final node states, crash schedule, and every metric.
 func runDetScenario(t *testing.T, workers int) string {
 	t.Helper()
 	const n = 48
@@ -95,18 +96,14 @@ func runDetScenario(t *testing.T, workers int) string {
 		simNodes[i] = nodes[i]
 	}
 	wire := fnv.New64a()
-	nw := NewNetwork(simNodes,
+	var nw *Network
+	nw = NewNetwork(simNodes,
 		WithCrashAdversary(&sharedRNGAdversary{rng: rand.New(rand.NewSource(42))}),
 		WithByzantine([]int{3, 17, 31}),
 		WithRushing([]int{3, 17}),
 		WithCongestLimit(24),
 		WithEngineWorkers(workers),
-		WithObserver(func(round int, delivered []Message) {
-			fmt.Fprintf(wire, "r%d:", round)
-			for _, msg := range delivered {
-				fmt.Fprintf(wire, "%d>%d/%s/%d;", msg.From, msg.To, msg.Payload.Kind(), msg.Payload.Bits())
-			}
-		}))
+		WithRoundEnd(func() { writeDelivered(wire, nw.engine) }))
 	defer nw.Close()
 	for r := 0; r < 16; r++ {
 		nw.StepRound()
@@ -119,6 +116,24 @@ func runDetScenario(t *testing.T, workers int) string {
 		fp += fmt.Sprintf(" s%d=%x@%d", i, nodes[i].state, nw.CrashedAt(i))
 	}
 	return fp
+}
+
+// writeDelivered appends the round's delivered stream to w, rebuilt from
+// the engine's inbox tables at round end: every recipient's freshly
+// filled view (generation stamp of the next round), recipients
+// ascending, each inbox in delivery order. Recipients are written by
+// index — a zero-copy bound view keeps the sender's shared To sentinel.
+func writeDelivered(w io.Writer, e *engine) {
+	fmt.Fprintf(w, "r%d:", e.round)
+	gen := uint32(e.round) + 1
+	for to, inbox := range e.nextInb {
+		if e.nextGen[to] != gen {
+			continue
+		}
+		for _, msg := range inbox {
+			fmt.Fprintf(w, "%d>%d/%s/%d;", msg.From, to, msg.Payload.Kind(), msg.Payload.Bits())
+		}
+	}
 }
 
 // TestEngineDeterministicAcrossWorkers is the tentpole safety net: the

@@ -15,24 +15,26 @@ type Payload interface {
 
 // ToAll is the shared-broadcast sentinel recipient: a single outbox entry
 // with To == ToAll fans out to every link in the network inside the
-// engine's counting-sort delivery. The payload is stored once by the
-// sender; metrics still account one wire message per recipient.
+// engine's shared-aggregate delivery. It is ToSet(0): the engine interns
+// the universal set [0, n) as set 0 for every run, so a broadcast is just
+// the multicast to the full link set — the paper's "send via n links".
+// The payload is stored once by the sender; metrics still account one
+// wire message per recipient.
 const ToAll = -1
 
 // toSetBase anchors the ToSet encoding: To == toSetBase-id addresses the
-// interned recipient set id (see Sets). ToAll keeps -1, so every To < 0
-// is a shared target and every To >= 0 an explicit link.
-const toSetBase = -2
+// interned recipient set id (see Sets), so every To < 0 is a shared
+// target and every To >= 0 an explicit link.
+const toSetBase = ToAll
 
 // ToSet encodes interned set id (from Sets.InternPhase) as a Message.To
 // recipient: a single outbox entry with To == ToSet(id) is a shared
 // multicast to every member of the set, billed as |set| wire messages and
-// delivered through the engine's shared-aggregate layer. Like ToAll, the
-// payload is stored once regardless of fan-out.
+// delivered through the engine's shared-aggregate layer. The payload is
+// stored once regardless of fan-out.
 func ToSet(id int) int { return toSetBase - id }
 
-// toSetID decodes a ToSet recipient back to its set id; only meaningful
-// when to <= toSetBase.
+// toSetID decodes a shared recipient (To < 0) back to its set id.
 func toSetID(to int) int { return toSetBase - to }
 
 // Message is a single point-to-point message in the synchronous network.

@@ -119,8 +119,8 @@ func (s *metricShard) add(kind string, bits int, honest bool, limit int) {
 	s.runBits += int64(bits)
 }
 
-// addN records count identical on-the-wire messages — the shared-broadcast
-// fast path, where one ToAll outbox entry becomes count wire messages of
+// addN records count identical on-the-wire messages — the shared-multicast
+// fast path, where one ToSet outbox entry becomes count wire messages of
 // the same kind and size. Exactly equivalent to count consecutive add
 // calls, including the run-length cache interaction.
 func (s *metricShard) addN(kind string, bits int, count int64, honest bool, limit int) {

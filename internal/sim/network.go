@@ -75,14 +75,6 @@ func WithCongestLimit(bits int) Option {
 	return func(e *engine) { e.metrics.CongestLimit = bits }
 }
 
-// WithObserver installs a per-round callback invoked with the messages
-// that were put on the wire this round (post crash filtering), for
-// tracing and debugging. The slice is reused between rounds and must not
-// be retained.
-func WithObserver(observer func(round int, delivered []Message)) Option {
-	return func(e *engine) { e.observer = observer }
-}
-
 // RoundDigest is the rolled-up communication summary of one round, as
 // handed to a WithRoundDigest callback: totals only, never per-node
 // arrays, so streaming consumers stay O(1) in n.
@@ -100,10 +92,10 @@ type RoundDigest struct {
 }
 
 // WithRoundDigest installs a per-round callback invoked with the round's
-// rolled-up communication summary, after metrics are folded. Unlike
-// WithObserver it never materializes the round's delivered messages into
-// one flat slice, so it is the telemetry hook of choice at large n; see
-// docs/MEMORY.md.
+// rolled-up communication summary, after metrics are folded — every
+// executed round, quiet ones included. It is the engine's one traffic
+// telemetry hook: it never materializes the round's delivered messages,
+// so it costs O(kinds) per round at any n; see docs/MEMORY.md.
 func WithRoundDigest(fn func(RoundDigest)) Option {
 	return func(e *engine) { e.digest = fn }
 }

@@ -29,33 +29,26 @@ type Node interface {
 	Halted() bool
 }
 
-// Quiescent is an optional Node extension for large sweeps. A node whose
-// *current* state guarantees that a Step call with an EMPTY inbox would
-// be a pure no-op — no state change, no output, no randomness consumed,
-// the round number ignored — reports true, and the engine elides the
-// call entirely that round. Eliding such a call is observationally
-// identical to making it (it could only have returned an empty outbox),
-// so telemetry is bit-identical; the interface merely lets a node
-// vouch for that, since the engine cannot prove it. Nodes whose idle
-// rounds have side effects (round counters, timers, randomness) must
-// not implement it, or must return false in those states.
+// Quiescent is an optional Node extension for large sweeps.
+// QuiescentAt(round) reports that, in the node's *current* state, a Step
+// call at exactly that round with an EMPTY inbox would be a pure no-op —
+// no state change, no output, no randomness consumed — and the engine
+// then elides the call entirely (it asks with the round it is about to
+// execute). Eliding such a call is observationally identical to making
+// it (it could only have returned an empty outbox), so telemetry is
+// bit-identical; the interface merely lets a node vouch for that, since
+// the engine cannot prove it.
+//
+// The round argument serves protocols built on a fixed round schedule,
+// where whether an empty inbox is meaningful depends on the position in
+// the schedule. The crash-renaming node is the motivating case: an empty
+// inbox in a send-status or committee round is provably a no-op, but an
+// empty inbox at the start of a phase is the committee-wipe signal that
+// doubles the re-election probability — a state change plus a random
+// draw, which must never be elided. Nodes whose quiescence does not
+// depend on the schedule simply ignore round. Nodes whose idle rounds
+// have side effects (round counters, timers, randomness) must not
+// implement Quiescent, or must return false in those states.
 type Quiescent interface {
-	Quiescent() bool
-}
-
-// ScheduleQuiescent is the round-aware variant of Quiescent for
-// protocols built on a fixed round schedule, where whether an empty
-// inbox is meaningful depends on the position within the schedule. The
-// crash-renaming node is the motivating case: an empty inbox in a
-// send-status or committee round is provably a no-op (nothing to
-// report, nothing to decide), but an empty inbox at the start of a
-// phase is the committee-wipe signal that doubles the re-election
-// probability — a state change plus a random draw, which must never be
-// elided. QuiescentAt(round) reports that a Step call at exactly that
-// round with an EMPTY inbox would be a pure no-op, under the same
-// obligations as Quiescent; the engine asks with the round it is about
-// to execute. A node may implement either interface or both (elision
-// happens if either vouches).
-type ScheduleQuiescent interface {
 	QuiescentAt(round int) bool
 }

@@ -10,7 +10,9 @@ import (
 // indices; interning it once lets every sender that addresses the same
 // recipients store a single outbox entry (billed as |set| wire messages)
 // which the engine delivers as one shared aggregate segment instead of
-// |set| copies per sender.
+// |set| copies per sender. Set 0 is always the universal set [0, n), so
+// a ToAll broadcast is the shared multicast to it and travels the same
+// path as every other shared target.
 //
 // Interning is keyed: InternPhase stores at most one canonical set per
 // key (first caller wins), and later callers whose membership differs —
@@ -41,12 +43,22 @@ type SetUser interface {
 	UseSets(s *Sets)
 }
 
-// reset clears the registry for a run over n nodes, keeping capacity.
-// The scratch slot is dropped so a pooled engine's next lease cannot see
-// a stale aggregate keyed on recycled slab memory.
+// reset clears the registry for a run over n nodes, keeping capacity,
+// and pre-interns the universal set [0, n) as set 0 — the target of
+// ToAll == ToSet(0) — reusing the previous lease's lists[0] backing. The
+// scratch slot is dropped so a pooled engine's next lease cannot see a
+// stale aggregate keyed on recycled slab memory.
 func (s *Sets) reset(n int) {
 	s.n = n
-	s.lists = s.lists[:0]
+	var all []int32
+	if cap(s.lists) > 0 {
+		all = s.lists[:1][0]
+	}
+	all = growSpan(all, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	s.lists = append(s.lists[:0], all)
 	if s.byKey == nil {
 		s.byKey = make(map[uint64]int32)
 	} else {
@@ -114,16 +126,16 @@ func (s *Sets) InternPhase(key uint64, members []int) (int, bool) {
 	return int(id), true
 }
 
-// membersOf returns the canonical membership of set id, ascending. The
-// engine calls it only between phase barriers, never concurrently with
-// InternPhase.
-func (s *Sets) membersOf(id int) []int32 {
+// membersOf resolves a shared recipient (To < 0: ToAll or ToSet(id)) to
+// its canonical membership, ascending, panicking on an id that names no
+// interned set. The engine calls it only between phase barriers, never
+// concurrently with InternPhase.
+func (s *Sets) membersOf(to int) []int32 {
+	id := toSetID(to)
+	if id < 0 || id >= len(s.lists) {
+		panic(fmt.Sprintf("sim: message addressed to unknown set %d", id))
+	}
 	return s.lists[id]
-}
-
-// valid reports whether id names an interned set.
-func (s *Sets) valid(id int) bool {
-	return s != nil && id >= 0 && id < len(s.lists)
 }
 
 func membersEqual(canon []int32, members []int) bool {

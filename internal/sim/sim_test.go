@@ -188,11 +188,11 @@ func TestRunRoundLimit(t *testing.T) {
 	}
 }
 
-func TestObserver(t *testing.T) {
+func TestRoundDigest(t *testing.T) {
 	_, simNodes := buildEcho(3, 0)
-	var observed []int
-	nw := NewNetwork(simNodes, WithObserver(func(round int, delivered []Message) {
-		observed = append(observed, len(delivered))
+	var observed []int64
+	nw := NewNetwork(simNodes, WithRoundDigest(func(d RoundDigest) {
+		observed = append(observed, d.Messages)
 	}))
 	if err := nw.Run(10); err != nil {
 		t.Fatal(err)

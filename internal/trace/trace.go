@@ -1,12 +1,10 @@
 // Package trace records per-round communication summaries of an
-// execution, for debugging protocol schedules and for the examples'
-// narrative output. A full Recorder (NewRecorder) retains one
-// RoundSummary per round and is fed through sim.WithObserver; a
-// streaming Recorder (NewStreamingRecorder) retains only the compact
-// per-round series Summary needs — 8 bytes per round plus online
-// maxima, never a per-message or per-node structure — and is fed
-// through sim.WithRoundDigest, which is the right shape for the
-// million-node sweeps (see docs/MEMORY.md).
+// execution, for debugging protocol schedules, for the examples'
+// narrative output, and for the experiment runner's traffic profiles.
+// A Recorder retains one RoundSummary per round, fed through
+// sim.WithRoundDigest: its footprint is O(rounds · kinds), never a
+// per-message or per-node structure, so it is the right shape for the
+// million-node sweeps too (see docs/MEMORY.md).
 package trace
 
 import (
@@ -35,64 +33,20 @@ type RoundSummary struct {
 // recording's round count always equals the network's round count.
 type Recorder struct {
 	rounds []RoundSummary
-
-	// Streaming mode: only the per-round message series (the exact
-	// float64 values full-mode Summary would derive, so the two modes
-	// produce bit-identical statistics) plus online maxima. Rounds(),
-	// BusiestRound(), and the timeline/CSV writers need the retained
-	// summaries and are unavailable in this mode.
-	streaming       bool
-	msgs            []float64
-	busiestRound    int
-	busiestMessages int
-	peakBits        int
 }
 
-// NewRecorder returns an empty recorder retaining full per-round
-// summaries (timeline and CSV capable).
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// NewStreamingRecorder returns a recorder that never materializes
-// per-round summaries: it keeps one float64 per round and online
-// maxima, enough for Summary and nothing else. Feed it through
-// sim.WithRoundDigest.
-func NewStreamingRecorder() *Recorder { return &Recorder{streaming: true} }
-
-// Observe is the sim.WithObserver callback.
-func (r *Recorder) Observe(round int, delivered []sim.Message) {
-	summary := RoundSummary{Round: round, ByKind: make(map[string]int)}
-	for _, msg := range delivered {
-		summary.Messages++
-		summary.Bits += msg.Payload.Bits()
-		summary.ByKind[msg.Payload.Kind()]++
+// ObserveDigest is the sim.WithRoundDigest callback: it materializes the
+// round's RoundSummary, copying the digest's per-kind counts (the engine
+// reuses that map between rounds).
+func (r *Recorder) ObserveDigest(d sim.RoundDigest) {
+	summary := RoundSummary{Round: d.Round, Messages: int(d.Messages), Bits: int(d.Bits), ByKind: make(map[string]int, len(d.PerKind))}
+	for k, v := range d.PerKind {
+		summary.ByKind[k] = int(v)
 	}
 	r.rounds = append(r.rounds, summary)
-}
-
-// ObserveDigest is the sim.WithRoundDigest callback. In streaming mode
-// it folds the digest into the compact series; in full mode it
-// materializes the same RoundSummary Observe would have built (the
-// digest carries identical totals).
-func (r *Recorder) ObserveDigest(d sim.RoundDigest) {
-	if !r.streaming {
-		summary := RoundSummary{Round: d.Round, Messages: int(d.Messages), Bits: int(d.Bits), ByKind: make(map[string]int, len(d.PerKind))}
-		for k, v := range d.PerKind {
-			summary.ByKind[k] = int(v)
-		}
-		r.rounds = append(r.rounds, summary)
-		return
-	}
-	if len(r.msgs) == 0 {
-		r.busiestRound = d.Round
-	}
-	if int(d.Messages) > r.busiestMessages {
-		r.busiestMessages = int(d.Messages)
-		r.busiestRound = d.Round
-	}
-	if int(d.Bits) > r.peakBits {
-		r.peakBits = int(d.Bits)
-	}
-	r.msgs = append(r.msgs, float64(d.Messages))
 }
 
 // Rounds returns the recorded summaries in round order.
@@ -133,21 +87,6 @@ type Summary struct {
 
 // Summary computes the recording's traffic profile.
 func (r *Recorder) Summary() Summary {
-	if r.streaming {
-		if len(r.msgs) == 0 {
-			return Summary{}
-		}
-		out := Summary{
-			Rounds:          len(r.msgs),
-			BusiestRound:    r.busiestRound,
-			BusiestMessages: r.busiestMessages,
-			PeakBits:        r.peakBits,
-		}
-		sum := stats.Summarize(r.msgs)
-		out.MeanMessages = sum.Mean
-		out.StddevMessages = sum.Stddev
-		return out
-	}
 	if len(r.rounds) == 0 {
 		return Summary{}
 	}

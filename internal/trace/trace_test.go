@@ -12,25 +12,32 @@ type tp struct{ kind string }
 func (p tp) Kind() string { return p.kind }
 func (tp) Bits() int      { return 4 }
 
-func msgs(kinds ...string) []sim.Message {
-	out := make([]sim.Message, len(kinds))
-	for i, k := range kinds {
-		out[i] = sim.Message{Payload: tp{kind: k}}
+// record feeds r one round digest of the given message kinds, 4 bits
+// each, through a per-kind map that is cleared afterwards — the engine
+// reuses its map between rounds, so the recorder must copy it.
+func record(r *Recorder, round int, kinds ...string) {
+	perKind := make(map[string]int64)
+	for _, k := range kinds {
+		perKind[k]++
 	}
-	return out
+	r.ObserveDigest(sim.RoundDigest{Round: round, Messages: int64(len(kinds)), Bits: 4 * int64(len(kinds)), PerKind: perKind})
+	clear(perKind)
 }
 
 func TestRecorderSummaries(t *testing.T) {
 	r := NewRecorder()
-	r.Observe(0, msgs("a", "a", "b"))
-	r.Observe(1, nil)
-	r.Observe(2, msgs("b"))
+	record(r, 0, "a", "a", "b")
+	record(r, 1)
+	record(r, 2, "b")
 	rounds := r.Rounds()
 	if len(rounds) != 3 {
 		t.Fatalf("rounds = %d", len(rounds))
 	}
-	if rounds[0].Messages != 3 || rounds[0].Bits != 12 || rounds[0].ByKind["a"] != 2 {
+	if rounds[0].Messages != 3 || rounds[0].Bits != 12 || rounds[0].ByKind["a"] != 2 || rounds[0].ByKind["b"] != 1 {
 		t.Fatalf("round 0 = %+v", rounds[0])
+	}
+	if len(rounds[1].ByKind) != 0 {
+		t.Fatalf("quiet round recorded kinds: %+v", rounds[1])
 	}
 	busiest, ok := r.BusiestRound()
 	if !ok || busiest.Round != 0 {
@@ -77,7 +84,7 @@ func TestSentOnTheWireSemantics(t *testing.T) {
 	nodes := []sim.Node{&loudNode{peer: 1, sendFor: 2}, quietNode{}}
 	nw := sim.NewNetwork(nodes,
 		sim.WithCrashAdversary(crashAt{node: 1, round: 0}),
-		sim.WithObserver(r.Observe))
+		sim.WithRoundDigest(r.ObserveDigest))
 	defer nw.Close()
 	for i := 0; i < 4; i++ {
 		nw.StepRound()
@@ -108,11 +115,11 @@ func TestBusiestEmpty(t *testing.T) {
 
 func TestTimelineElidesRepeats(t *testing.T) {
 	r := NewRecorder()
-	r.Observe(0, msgs("x"))
+	record(r, 0, "x")
 	for round := 1; round < 6; round++ {
-		r.Observe(round, msgs("y", "y"))
+		record(r, round, "y", "y")
 	}
-	r.Observe(6, nil)
+	record(r, 6)
 	var b strings.Builder
 	if err := r.WriteTimeline(&b); err != nil {
 		t.Fatal(err)
@@ -131,8 +138,8 @@ func TestTimelineElidesRepeats(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
-	r.Observe(0, msgs("a", "b"))
-	r.Observe(1, msgs("b"))
+	record(r, 0, "a", "b")
+	record(r, 1, "b")
 	var b strings.Builder
 	if err := r.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -149,78 +156,14 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-// TestStreamingSummaryParity runs the same execution through a full
-// observer-fed recorder and a streaming digest-fed recorder and demands
-// identical Summary values — including the float statistics, which both
-// modes must derive from the same per-round series.
-func TestStreamingSummaryParity(t *testing.T) {
-	run := func(rec *Recorder, opt sim.Option) {
-		nodes := []sim.Node{&loudNode{peer: 1, sendFor: 3}, &loudNode{peer: 0, sendFor: 1}, quietNode{}}
-		nw := sim.NewNetwork(nodes, opt)
-		defer nw.Close()
-		for i := 0; i < 5; i++ {
-			nw.StepRound()
-		}
-	}
-	full := NewRecorder()
-	run(full, sim.WithObserver(full.Observe))
-	stream := NewStreamingRecorder()
-	run(stream, sim.WithRoundDigest(stream.ObserveDigest))
-	if full.Summary() != stream.Summary() {
-		t.Fatalf("streaming summary %+v != full summary %+v", stream.Summary(), full.Summary())
-	}
-	if stream.Summary() == (Summary{}) {
-		t.Fatal("parity run recorded nothing")
-	}
-}
-
-// TestObserveDigestFullMode checks that a full-mode recorder fed by
-// digests materializes the same rounds Observe would have.
-func TestObserveDigestFullMode(t *testing.T) {
-	byObserve := NewRecorder()
-	byObserve.Observe(0, msgs("a", "a", "b"))
-	byObserve.Observe(1, nil)
-
-	byDigest := NewRecorder()
-	perKind := map[string]int64{"a": 2, "b": 1}
-	byDigest.ObserveDigest(sim.RoundDigest{Round: 0, Messages: 3, Bits: 12, PerKind: perKind})
-	clear(perKind) // the engine reuses the map between rounds
-	byDigest.ObserveDigest(sim.RoundDigest{Round: 1, PerKind: perKind})
-
-	a, b := byObserve.Rounds(), byDigest.Rounds()
-	if len(a) != len(b) {
-		t.Fatalf("round counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Round != b[i].Round || a[i].Messages != b[i].Messages || a[i].Bits != b[i].Bits {
-			t.Fatalf("round %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-		for k, v := range a[i].ByKind {
-			if b[i].ByKind[k] != v {
-				t.Fatalf("round %d kind %q: %d vs %d", i, k, b[i].ByKind[k], v)
-			}
-		}
-	}
-	if byObserve.Summary() != byDigest.Summary() {
-		t.Fatalf("summaries differ: %+v vs %+v", byObserve.Summary(), byDigest.Summary())
-	}
-}
-
-// TestStreamingEmpty pins the zero-value behavior of streaming mode.
-func TestStreamingEmpty(t *testing.T) {
-	if s := NewStreamingRecorder().Summary(); s != (Summary{}) {
-		t.Fatalf("empty streaming summary = %+v", s)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	r := NewRecorder()
 	if s := r.Summary(); s != (Summary{}) {
 		t.Fatalf("empty recorder summary = %+v", s)
 	}
-	r.Observe(0, msgs("a", "a"))
-	r.Observe(1, nil)
-	r.Observe(2, msgs("b", "b", "b", "b"))
+	record(r, 0, "a", "a")
+	record(r, 1)
+	record(r, 2, "b", "b", "b", "b")
 	s := r.Summary()
 	if s.Rounds != 3 || s.BusiestRound != 2 || s.BusiestMessages != 4 {
 		t.Fatalf("summary = %+v", s)

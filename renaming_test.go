@@ -1,8 +1,15 @@
 package renaming
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"renaming/internal/core"
+	"renaming/internal/sim"
 )
 
 func TestRunCrashBasic(t *testing.T) {
@@ -147,6 +154,131 @@ func TestRunCrashTrace(t *testing.T) {
 	}
 	if res.MaxNodeSent == 0 || res.MaxNodeReceived == 0 {
 		t.Fatalf("per-node load not recorded: %+v", res)
+	}
+}
+
+// goldenCrash16 is the RunCrash(16, {Seed: 1}) timeline: twelve
+// failure-free phases of notify (committee broadcast), status (shared
+// multicast to the committee) and response rounds, then the final
+// response-processing round.
+const goldenCrash16 = `round    0:    256 msgs      256 bits  notify×256
+round    1:    256 msgs     6400 bits  status×256
+round    2:    256 msgs     6656 bits  response×256
+round    3:    256 msgs      256 bits  notify×256
+round    4:    256 msgs     6400 bits  status×256
+round    5:    256 msgs     6656 bits  response×256
+round    6:    256 msgs      256 bits  notify×256
+round    7:    256 msgs     6400 bits  status×256
+round    8:    256 msgs     6656 bits  response×256
+round    9:    256 msgs      256 bits  notify×256
+round   10:    256 msgs     6400 bits  status×256
+round   11:    256 msgs     6656 bits  response×256
+round   12:    256 msgs      256 bits  notify×256
+round   13:    256 msgs     6400 bits  status×256
+round   14:    256 msgs     6656 bits  response×256
+round   15:    256 msgs      256 bits  notify×256
+round   16:    256 msgs     6400 bits  status×256
+round   17:    256 msgs     6656 bits  response×256
+round   18:    256 msgs      256 bits  notify×256
+round   19:    256 msgs     6400 bits  status×256
+round   20:    256 msgs     6656 bits  response×256
+round   21:    256 msgs      256 bits  notify×256
+round   22:    256 msgs     6400 bits  status×256
+round   23:    256 msgs     6656 bits  response×256
+round   24:    256 msgs      256 bits  notify×256
+round   25:    256 msgs     6400 bits  status×256
+round   26:    256 msgs     6656 bits  response×256
+round   27:    256 msgs      256 bits  notify×256
+round   28:    256 msgs     6400 bits  status×256
+round   29:    256 msgs     6656 bits  response×256
+round   30:    256 msgs      256 bits  notify×256
+round   31:    256 msgs     6400 bits  status×256
+round   32:    256 msgs     6656 bits  response×256
+round   33:    256 msgs      256 bits  notify×256
+round   34:    256 msgs     6400 bits  status×256
+round   35:    256 msgs     6656 bits  response×256
+round   36:      0 msgs        0 bits  (quiet)
+`
+
+// TestTraceTimelinesGolden pins the Trace timelines (renamesim -trace)
+// byte for byte. The goldens were recorded from per-message delivery
+// streams, so they also prove the digest-fed recorder writes the same
+// text. The Byzantine and mid-send-killer timelines (hundreds of lines)
+// are pinned by SHA-256.
+func TestTraceTimelinesGolden(t *testing.T) {
+	cases := []struct {
+		name    string
+		run     func(w io.Writer) (*Result, error)
+		literal string // the whole timeline, when short enough to read
+		sha256  string // hex SHA-256 of the timeline otherwise
+	}{
+		{name: "crash n=16", run: func(w io.Writer) (*Result, error) {
+			return RunCrash(16, CrashSpec{Seed: 1, Trace: w})
+		}, literal: goldenCrash16},
+		{name: "byzantine n=12", run: func(w io.Writer) (*Result, error) {
+			return RunByzantine(12, ByzSpec{Seed: 3, Byzantine: map[int]Behavior{2: BehaviorSplitWorld}, Trace: w})
+		}, sha256: "2e9907d56d4f4fa54c52fa141828c0fedbcde0b5c70880043922148b1ac02c07"},
+		{name: "crash n=32 mid-send killer", run: func(w io.Writer) (*Result, error) {
+			return RunCrash(32, CrashSpec{Seed: 4, CommitteeScale: 0.1, Trace: w,
+				Fault: FaultSpec{Kind: FaultCommitteeKiller, Budget: 8, MidSend: true}})
+		}, sha256: "5dca5c9af2268f35335ae1d5c22c4ab5106450950a6cdaa616368631cc22fab4"},
+	}
+	for _, tc := range cases {
+		var buf strings.Builder
+		if _, err := tc.run(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := buf.String()
+		if tc.literal != "" && got != tc.literal {
+			t.Errorf("%s: timeline diverged from the golden:\n%s", tc.name, got)
+		}
+		if h := fmt.Sprintf("%x", sha256.Sum256([]byte(got))); tc.sha256 != "" && h != tc.sha256 {
+			t.Errorf("%s: timeline SHA-256 %s, want %s:\n%s", tc.name, h, tc.sha256, got)
+		}
+	}
+}
+
+// TestRoundDigestSumsMatchMetrics: summed over a run, the per-round
+// digests account exactly what Metrics does — messages, bits, and the
+// per-kind breakdown — on a run whose committee killer crashes members
+// mid-send, so filtered shared broadcasts and multicasts are expanded
+// and billed per surviving wire message.
+func TestRoundDigestSumsMatchMetrics(t *testing.T) {
+	const n = 64
+	ids, err := GenerateIDs(n, 16*n, IDsEven, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.CrashConfig{N: 16 * n, IDs: ids, Seed: 9, CommitteeScale: 0.05}
+	nodes := make([]sim.Node, n)
+	for i := range nodes {
+		nodes[i] = core.NewCrashNode(cfg, i)
+	}
+	var msgs, bits int64
+	perKind := make(map[string]int64)
+	rounds := 0
+	nw := sim.NewNetwork(nodes,
+		sim.WithCrashAdversary(FaultSpec{Kind: FaultCommitteeKiller, Budget: n / 4, MidSend: true}.build(cfg.Seed)),
+		sim.WithPeek(func(i int) any { return nodes[i].(*core.CrashNode).Peek() }),
+		sim.WithRoundDigest(func(d sim.RoundDigest) {
+			rounds++
+			msgs += d.Messages
+			bits += d.Bits
+			for k, v := range d.PerKind {
+				perKind[k] += v
+			}
+		}))
+	defer nw.Close()
+	if err := nw.Run(cfg.TotalRounds() + 1); err != nil {
+		t.Fatal(err)
+	}
+	m := nw.Metrics()
+	if nw.Crashes() == 0 {
+		t.Fatal("killer crashed nobody — the mid-send path was not exercised")
+	}
+	if rounds != m.Rounds || msgs != m.Messages || bits != m.Bits || !reflect.DeepEqual(perKind, m.PerKind) {
+		t.Fatalf("digest sums rounds=%d msgs=%d bits=%d kinds=%v, metrics rounds=%d msgs=%d bits=%d kinds=%v",
+			rounds, msgs, bits, perKind, m.Rounds, m.Messages, m.Bits, m.PerKind)
 	}
 }
 

@@ -170,14 +170,8 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 		opts = append(opts, sim.WithEngineWorkers(spec.EngineWorkers))
 	}
 	var recorder *trace.Recorder
-	if spec.Trace != nil {
+	if spec.Trace != nil || spec.Profile {
 		recorder = trace.NewRecorder()
-		opts = append(opts, sim.WithObserver(recorder.Observe))
-	} else if spec.Profile {
-		// Profile-only runs need Summary, not the per-round timeline, so
-		// the streaming recorder's digest feed avoids materializing the
-		// round's delivered-message slice for the observer.
-		recorder = trace.NewStreamingRecorder()
 		opts = append(opts, sim.WithRoundDigest(recorder.ObserveDigest))
 	}
 	if spec.CongestLimit > 0 {
@@ -188,7 +182,7 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 	if err := nw.Run(byzRoundBudget(cfg, len(byzLinks))); err != nil {
 		return nil, fmt.Errorf("byzantine renaming: %w", err)
 	}
-	if recorder != nil && spec.Trace != nil {
+	if spec.Trace != nil {
 		if err := recorder.WriteTimeline(spec.Trace); err != nil {
 			return nil, fmt.Errorf("write trace: %w", err)
 		}

@@ -160,14 +160,8 @@ func runCrash(n int, spec CrashSpec, pool *sim.Pool) (*Result, error) {
 		sim.WithPeek(func(i int) any { return nodes[i].Peek() }),
 	}
 	var recorder *trace.Recorder
-	if spec.Trace != nil {
+	if spec.Trace != nil || spec.Profile {
 		recorder = trace.NewRecorder()
-		opts = append(opts, sim.WithObserver(recorder.Observe))
-	} else if spec.Profile {
-		// Profile-only runs need Summary, not the per-round timeline, so
-		// the streaming recorder's digest feed avoids materializing the
-		// round's delivered-message slice for the observer.
-		recorder = trace.NewStreamingRecorder()
 		opts = append(opts, sim.WithRoundDigest(recorder.ObserveDigest))
 	}
 	if spec.CongestLimit > 0 {
@@ -184,7 +178,7 @@ func runCrash(n int, spec CrashSpec, pool *sim.Pool) (*Result, error) {
 	if err := nw.Run(cfg.TotalRounds() + 1); err != nil {
 		return nil, fmt.Errorf("crash renaming: %w", err)
 	}
-	if recorder != nil && spec.Trace != nil {
+	if spec.Trace != nil {
 		if err := recorder.WriteTimeline(spec.Trace); err != nil {
 			return nil, fmt.Errorf("write trace: %w", err)
 		}
