@@ -17,6 +17,13 @@ import (
 // algorithm optimisation must reproduce this byte-for-byte.
 const byzGoldenFingerprint = "da7a9623c7dd761709621943a28a9cf701931cbb8029943218bdae087bd2c171"
 
+// byzSpamGoldenFingerprint pins the same telemetry for an execution at
+// n = 64 with two spam attackers, which flood every node with fabricated
+// NEW and subprotocol messages in every round from round 2 on (1105
+// rounds in all). It covers the attacker NEW-payload path the
+// equivocate case above only touches every third round.
+const byzSpamGoldenFingerprint = "df4c443228543b51e349baab851beeccfe382b4312183993336b2b69bebdf921"
+
 // TestByzantineDeterminism runs the same adversarial execution with the
 // round engine pinned to 1 worker and to 8 workers and requires both to
 // match the golden fingerprint. The 1-worker run exercises the
@@ -27,32 +34,44 @@ const byzGoldenFingerprint = "da7a9623c7dd761709621943a28a9cf701931cbb8029943218
 // rushing adversaries, mid-protocol recursion, and shared broadcasts —
 // the regression oracle the perf work is measured against.
 func TestByzantineDeterminism(t *testing.T) {
-	byz := map[int]renaming.Behavior{
-		1: renaming.BehaviorSplitWorld,
-		4: renaming.BehaviorEquivocate,
-		9: renaming.BehaviorRushingEquivocate,
-	}
-	for _, workers := range []int{1, 8} {
-		res, err := renaming.RunByzantine(256, renaming.ByzSpec{
-			Seed:          77,
-			PoolProb:      20.0 / 256,
-			Byzantine:     byz,
-			Profile:       true,
-			EngineWorkers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !res.Unique {
-			t.Fatalf("workers=%d: honest nodes did not rename uniquely", workers)
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatalf("workers=%d: marshal: %v", workers, err)
-		}
-		sum := sha256.Sum256(blob)
-		if got := hex.EncodeToString(sum[:]); got != byzGoldenFingerprint {
-			t.Errorf("workers=%d: telemetry fingerprint %s, want %s", workers, got, byzGoldenFingerprint)
+	for _, tc := range []struct {
+		name   string
+		n      int
+		byz    map[int]renaming.Behavior
+		golden string
+	}{
+		{"mixed", 256, map[int]renaming.Behavior{
+			1: renaming.BehaviorSplitWorld,
+			4: renaming.BehaviorEquivocate,
+			9: renaming.BehaviorRushingEquivocate,
+		}, byzGoldenFingerprint},
+		{"spam", 64, map[int]renaming.Behavior{
+			2: renaming.BehaviorSpam,
+			5: renaming.BehaviorSpam,
+		}, byzSpamGoldenFingerprint},
+	} {
+		for _, workers := range []int{1, 8} {
+			res, err := renaming.RunByzantine(tc.n, renaming.ByzSpec{
+				Seed:          77,
+				PoolProb:      20.0 / float64(tc.n),
+				Byzantine:     tc.byz,
+				Profile:       true,
+				EngineWorkers: workers,
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if !res.Unique {
+				t.Fatalf("%s workers=%d: honest nodes did not rename uniquely", tc.name, workers)
+			}
+			blob, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("%s workers=%d: marshal: %v", tc.name, workers, err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); got != tc.golden {
+				t.Errorf("%s workers=%d: telemetry fingerprint %s, want %s", tc.name, workers, got, tc.golden)
+			}
 		}
 	}
 }

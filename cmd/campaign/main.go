@@ -54,8 +54,8 @@ func run() (int, error) {
 		outPath    = flag.String("out", "", "append one JSONL telemetry record per execution (docs/OBSERVABILITY.md)")
 		shrinkDir  = flag.String("shrink-dir", "", "shrink the first violation of each invariant to a replayable artifact in this directory")
 		replay     = flag.String("replay", "", "replay a shrunk artifact instead of running a campaign")
-		roundCeil  = flag.Int("round-ceiling", 0, "override the oracle's round ceiling (demo/debug; 0 = theorem bound)")
-		search     = flag.Bool("search", false, "fitness-guided adversary search instead of uniform sampling (docs/CAMPAIGNS.md, Search mode)")
+		roundCeil  = flag.Int("round-ceiling", 0, "override the oracle's round ceiling (demo/debug; one-shot algos only; 0 = theorem bound)")
+		search     = flag.Bool("search", false, "fitness-guided adversary search instead of uniform sampling (crash, baseline-a2a, byzantine; docs/CAMPAIGNS.md, Search mode)")
 		budgetEx   = flag.Int("budget-execs", 0, "total executions the search may spend (default -execs)")
 		objective  = flag.String("objective", "rounds", "search fitness: rounds | envelope")
 		asJSON     = flag.Bool("json", false, "emit the outcome summary (tails + violations) as JSON")
@@ -92,11 +92,6 @@ func run() (int, error) {
 		CommitteeScale: *scale,
 		PoolProb:       *poolProb,
 		Workers:        *workers,
-	}
-	switch spec.Algo {
-	case campaign.AlgoCrash, campaign.AlgoByzantine, campaign.AlgoBaselineA2A, campaign.AlgoService:
-	default:
-		return 0, fmt.Errorf("unknown algo %q", *algo)
 	}
 	if *roundCeil > 0 {
 		// An explicit ceiling replaces the default oracle with a

@@ -26,7 +26,7 @@ import (
 // of scope.
 var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 
-var headingRe = regexp.MustCompile("(?m)^#{1,6}\\s+(.+?)\\s*#*\\s*$")
+var headingRe = regexp.MustCompile("^#{1,6}\\s+(.+?)\\s*#*\\s*$")
 
 func main() {
 	files := os.Args[1:]
@@ -77,18 +77,26 @@ func defaultFiles() ([]string, error) {
 	return out, nil
 }
 
-func checkFile(file, content string) []string {
-	var problems []string
+// proseLines splits content into lines and blanks every line of a
+// fenced code block, fences included, so neither links nor headings are
+// read from code while line numbers stay aligned.
+func proseLines(content string) []string {
 	lines := strings.Split(content, "\n")
 	inFence := false
-	for lineNo, line := range lines {
+	for i, line := range lines {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			inFence = !inFence
-			continue
+			lines[i] = ""
+		} else if inFence {
+			lines[i] = ""
 		}
-		if inFence {
-			continue
-		}
+	}
+	return lines
+}
+
+func checkFile(file, content string) []string {
+	var problems []string
+	for lineNo, line := range proseLines(content) {
 		for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
 			target := m[1]
 			if problem := checkTarget(file, target); problem != "" {
@@ -136,8 +144,8 @@ func checkAnchorIn(file, anchor string) string {
 	if err != nil {
 		return err.Error()
 	}
-	for _, m := range headingRe.FindAllStringSubmatch(string(data), -1) {
-		if slugify(m[1]) == anchor {
+	for _, line := range proseLines(string(data)) {
+		if m := headingRe.FindStringSubmatch(line); m != nil && slugify(m[1]) == anchor {
 			return ""
 		}
 	}

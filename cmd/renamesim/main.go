@@ -8,7 +8,8 @@
 //	renamesim -n 96 -algo byzantine -f 8          # split-world Byzantine nodes
 //	renamesim -n 128 -algo baseline-a2a -fault random -f 32
 //	renamesim -n 128 -strategy mixed -f 32        # campaign strategy generator
-//	renamesim -strategy replay:repro.json         # replay a shrunk campaign artifact
+//
+// Campaign artifacts replay with cmd/campaign -replay.
 package main
 
 import (
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"renaming"
 	"renaming/internal/campaign"
@@ -48,7 +48,7 @@ func run() error {
 		early    = flag.Bool("early-stop", false, "enable the crash algorithm's early-stopping extension")
 		verbose  = flag.Bool("v", false, "print the per-link renaming")
 		outPath  = flag.String("out", "", "append the run as one JSONL telemetry record (docs/OBSERVABILITY.md)")
-		strategy = flag.String("strategy", "", "campaign strategy generator (early-burst | trickle | targeted | mixed | byz-uniform | byz-skew | byz-silent | mixed-fault), or replay:<artifact.json>; empty keeps -fault/-behavior semantics")
+		strategy = flag.String("strategy", "", "campaign strategy generator: early-burst | trickle | targeted | mixed (-algo crash, baseline-a2a) or byz-uniform | byz-skew | byz-silent | mixed-fault (-algo byzantine); empty keeps -fault/-behavior semantics. Churn strategies and artifact replay live in cmd/campaign")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this path (docs/MEMORY.md walks through one)")
 	)
@@ -63,10 +63,6 @@ func run() error {
 			fmt.Fprintln(os.Stderr, "renamesim: profiling:", err)
 		}
 	}()
-
-	if path, ok := strings.CutPrefix(*strategy, "replay:"); ok {
-		return replayArtifact(path, *asJSON)
-	}
 
 	if *n <= 0 {
 		return fmt.Errorf("-n must be positive, got %d", *n)
@@ -99,8 +95,11 @@ func run() error {
 	var stratByzFault renaming.FaultSpec
 	if *strategy != "" {
 		kind := campaign.GeneratorKind(*strategy)
-		if kind.IsByz() != (*algo == "byzantine") {
-			return fmt.Errorf("-strategy %q does not match -algo %q", *strategy, *algo)
+		if kind == campaign.GenChurn {
+			return fmt.Errorf("-strategy %s drives the long-lived service, which renamesim does not run; use cmd/campaign -algo service", kind)
+		}
+		if err := campaign.CheckGenerator(campaign.Algo(*algo), kind); err != nil {
+			return fmt.Errorf("-strategy: %w", err)
 		}
 		strat, serr := campaign.Generate(campaign.GenSpec{
 			Kind: kind, N: *n, Budget: *f, Rounds: campaign.CrashRoundCeiling(*n),
@@ -118,9 +117,6 @@ func run() error {
 				stratByzFault = strat.Fault()
 			}
 		} else {
-			if *algo != "crash" && *algo != "baseline-a2a" {
-				return fmt.Errorf("-strategy %q needs -algo crash or baseline-a2a", *strategy)
-			}
 			faultSpec = strat.Fault()
 		}
 	}
@@ -145,7 +141,7 @@ func run() error {
 	case "byzantine":
 		byz := stratByz
 		if byz == nil {
-			b, berr := parseBehavior(*behavior)
+			b, berr := campaign.ParseBehavior(*behavior)
 			if berr != nil {
 				return berr
 			}
@@ -276,62 +272,4 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-// replayArtifact re-executes a shrunk campaign reproducer
-// (docs/CAMPAIGNS.md) and reports the result plus any violation the
-// default theorem oracle still finds.
-func replayArtifact(path string, asJSON bool) error {
-	artifact, err := campaign.LoadArtifact(path)
-	if err != nil {
-		return err
-	}
-	res, viols, err := artifact.Replay()
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
-			Artifact   *campaign.ReproArtifact
-			Violations []campaign.Violation
-			*renaming.Result
-		}{Artifact: artifact, Violations: viols, Result: res})
-	}
-	fmt.Printf("artifact        %s\n", path)
-	fmt.Printf("algorithm       %s (n=%d, N=%d, seed=%d)\n", artifact.Algo, artifact.N, artifact.BigN, artifact.Seed)
-	fmt.Printf("recorded        [%s] %s\n", artifact.Invariant, artifact.Detail)
-	fmt.Printf("schedule        %d events, %d corruptions\n", len(artifact.Strategy.Schedule), len(artifact.Strategy.Byzantine))
-	fmt.Printf("unique/strong   %v\n", res.Unique)
-	fmt.Printf("rounds          %d\n", res.Rounds)
-	fmt.Printf("messages        %d (honest %d)\n", res.Messages, res.HonestMessages)
-	fmt.Printf("crashes/byz     %d/%d\n", res.Crashes, res.Byzantine)
-	if len(viols) == 0 {
-		fmt.Println("oracle          clean on replay")
-		return nil
-	}
-	for _, v := range viols {
-		fmt.Printf("oracle          [%s] %s\n", v.Invariant, v.Detail)
-	}
-	return fmt.Errorf("replay reproduced %d violation(s)", len(viols))
-}
-
-func parseBehavior(s string) (renaming.Behavior, error) {
-	switch s {
-	case "silent":
-		return renaming.BehaviorSilent, nil
-	case "splitworld":
-		return renaming.BehaviorSplitWorld, nil
-	case "minoritysplit":
-		return renaming.BehaviorMinoritySplit, nil
-	case "rushing":
-		return renaming.BehaviorRushingEquivocate, nil
-	case "equivocate":
-		return renaming.BehaviorEquivocate, nil
-	case "spam":
-		return renaming.BehaviorSpam, nil
-	default:
-		return 0, fmt.Errorf("unknown behavior %q", s)
-	}
 }

@@ -75,6 +75,8 @@ type Spec struct {
 	Sinks []runner.Sink
 	// Oracle checks every execution; nil installs the theorem-derived
 	// default for Algo (CrashExpectation / ByzantineExpectation).
+	// AlgoService takes no custom oracle: its executions are checked per
+	// epoch by a ServiceOracle.
 	Oracle *Oracle
 }
 
@@ -108,11 +110,11 @@ func (s Spec) withDefaults() (Spec, error) {
 			s.Generator = GenMixed
 		}
 	}
-	if s.Generator.IsByz() != (s.Algo == AlgoByzantine) {
-		return s, fmt.Errorf("campaign: generator %q does not match algo %q", s.Generator, s.Algo)
+	if err := CheckGenerator(s.Algo, s.Generator); err != nil {
+		return s, err
 	}
-	if (s.Generator == GenChurn) != (s.Algo == AlgoService) {
-		return s, fmt.Errorf("campaign: generator %q does not match algo %q", s.Generator, s.Algo)
+	if s.Algo == AlgoService && s.Oracle != nil && s.Oracle.Expect != (Expectation{}) {
+		return s, fmt.Errorf("campaign: algo %q checks every epoch with its own ServiceOracle, so a custom oracle (such as a round-ceiling override) would be ignored", s.Algo)
 	}
 	if s.Epochs == 0 {
 		s.Epochs = 24
@@ -249,34 +251,18 @@ func Run(spec Spec) (*Outcome, error) {
 				"budget": fmt.Sprint(spec.Budget), "exec": fmt.Sprint(i),
 			},
 			Run: func(seed int64) (runner.Metrics, error) {
-				var (
-					strat Strategy
-					m     runner.Metrics
-					viols []Violation
-					err   error
-				)
-				if spec.Algo == AlgoService {
-					strat, m, viols, err = executeServiceOnce(spec, seed)
-					if err != nil {
-						return runner.Metrics{}, err
-					}
-				} else {
-					var res *renaming.Result
-					var ids []int
-					strat, res, ids, err = executeOnce(spec, seed)
-					if err != nil {
-						return runner.Metrics{}, err
-					}
-					viols = spec.Oracle.Check(spec.N, ids, res)
-					m = runner.FromResult(res, spec.N)
+				strat, err := Generate(spec.genSpec(), seed)
+				if err != nil {
+					return runner.Metrics{}, err
+				}
+				m, _, viols, err := execute(spec, strat, seed)
+				if err != nil {
+					return runner.Metrics{}, err
 				}
 				for vi := range viols {
 					viols[vi].Exec = i
-					viols[vi].Seed = seed
-					viols[vi].Strategy = strat
 				}
 				violations[i] = viols
-				m.Violations = Codes(viols)
 				return m, nil
 			},
 		}
@@ -298,49 +284,42 @@ func Run(spec Spec) (*Outcome, error) {
 	return out, nil
 }
 
-// executeOnce generates the strategy for seed and runs one execution of
-// the configured algorithm against it, returning the strategy, the
-// result, and the original identities (for the oracle's order check).
-func executeOnce(spec Spec, seed int64) (Strategy, *renaming.Result, []int, error) {
-	strat, err := Generate(spec.genSpec(), seed)
-	if err != nil {
-		return Strategy{}, nil, nil, err
+// execute runs spec's algorithm once against strat at seed and checks
+// the run — one-shot algos with spec.Oracle, the service with a fresh
+// ServiceOracle per execution. It returns the run's metrics (Violations
+// set to the invariant codes), its result (for AlgoService the
+// trace-aggregate Result), and the violations stamped with seed and
+// strat. Campaign runs, search evaluations, shrink replays and artifact
+// replays all execute through it; each caller stamps its own Exec.
+func execute(spec Spec, strat Strategy, seed int64) (runner.Metrics, *renaming.Result, []Violation, error) {
+	run := runOneShot
+	if spec.Algo == AlgoService {
+		run = runService
 	}
-	ids, err := renaming.GenerateIDs(spec.N, spec.BigN, renaming.IDsEven, seed)
+	m, res, viols, err := run(spec, strat, seed)
 	if err != nil {
-		return Strategy{}, nil, nil, err
+		return runner.Metrics{}, nil, nil, err
 	}
-	res, err := replayStrategy(spec, strat, seed, ids)
-	if err != nil {
-		return Strategy{}, nil, nil, err
+	for i := range viols {
+		viols[i].Seed = seed
+		viols[i].Strategy = strat
 	}
-	return strat, res, ids, nil
+	m.Violations = Codes(viols)
+	return m, res, viols, nil
 }
 
-// executeServiceOnce generates a churn strategy for seed and drives one
-// long-lived service execution against it: Spec.Epochs epochs of a
-// seeded join/leave trace over a capacity-N namespace, every epoch
-// re-checked by a fresh ServiceOracle. The returned metrics aggregate
-// the whole trace (sums over epochs; service population counters in
-// Extra); the violations are epoch-keyed.
-func executeServiceOnce(spec Spec, seed int64) (Strategy, runner.Metrics, []Violation, error) {
-	strat, err := Generate(spec.genSpec(), seed)
-	if err != nil {
-		return Strategy{}, runner.Metrics{}, nil, err
-	}
-	m, viols, err := replayServiceStrategy(spec, strat, seed)
-	return strat, m, viols, err
-}
-
-// replayServiceStrategy runs one service execution against an explicit
-// churn strategy — the shared path between campaign execution and
-// replay.
-func replayServiceStrategy(spec Spec, strat Strategy, seed int64) (runner.Metrics, []Violation, error) {
+// runService drives one long-lived service execution against a churn
+// strategy: Spec.Epochs epochs of a seeded join/leave trace over a
+// capacity-N namespace, every epoch re-checked by a fresh
+// ServiceOracle. The metrics and the Result aggregate the whole trace
+// (sums over epochs; service population counters in Extra); the
+// violations are epoch-keyed.
+func runService(spec Spec, strat Strategy, seed int64) (runner.Metrics, *renaming.Result, []Violation, error) {
 	driver, err := service.NewTraceDriver(service.TraceSpec{
 		Capacity: spec.N, BigN: spec.BigN, Seed: seed,
 	})
 	if err != nil {
-		return runner.Metrics{}, nil, err
+		return runner.Metrics{}, nil, nil, err
 	}
 	svc, err := service.New(service.Config{
 		Capacity: spec.N, BigN: spec.BigN, Seed: seed,
@@ -348,7 +327,7 @@ func replayServiceStrategy(spec Spec, strat Strategy, seed int64) (runner.Metric
 		FaultForEpoch:  strat.ChurnFault(),
 	})
 	if err != nil {
-		return runner.Metrics{}, nil, err
+		return runner.Metrics{}, nil, nil, err
 	}
 	// Campaigns build one service per execution; Close each so pooled
 	// one-shot engines don't pile up waiting on finalizers.
@@ -360,11 +339,11 @@ func replayServiceStrategy(spec Spec, strat Strategy, seed int64) (runner.Metric
 	for e := 0; e < spec.Epochs; e++ {
 		joins, leaves, err := driver.NextEpoch(svc.LiveClients())
 		if err != nil {
-			return runner.Metrics{}, nil, err
+			return runner.Metrics{}, nil, nil, err
 		}
 		er, err := svc.RunEpoch(joins, leaves)
 		if err != nil {
-			return runner.Metrics{}, nil, err
+			return runner.Metrics{}, nil, nil, err
 		}
 		viols = append(viols, oracle.CheckEpoch(er)...)
 		m.Rounds += er.Rounds
@@ -400,18 +379,31 @@ func replayServiceStrategy(spec Spec, strat Strategy, seed int64) (runner.Metric
 		"peakLive":      float64(peakLive),
 		"live":          float64(svc.Live()),
 	}
-	return m, viols, nil
+	// There is no single one-shot execution to hand back, so the Result
+	// carries the trace-aggregate metrics.
+	res := &renaming.Result{
+		Unique: m.Unique, OrderPreserving: m.OrderPreserving,
+		Crashes: m.Crashes, Rounds: m.Rounds,
+		Messages: m.Messages, Bits: m.Bits,
+		HonestMessages: m.HonestMessages, HonestBits: m.HonestBits,
+	}
+	return m, res, viols, nil
 }
 
-// replayStrategy runs one execution of spec's algorithm against an
-// explicit strategy — the shared path between campaign execution and
-// artifact replay.
-func replayStrategy(spec Spec, strat Strategy, seed int64, ids []int) (*renaming.Result, error) {
+// runOneShot runs one crash, Byzantine or baseline execution against
+// strat and checks it with spec.Oracle (the original identities feed
+// its order recheck).
+func runOneShot(spec Spec, strat Strategy, seed int64) (runner.Metrics, *renaming.Result, []Violation, error) {
+	ids, err := renaming.GenerateIDs(spec.N, spec.BigN, renaming.IDsEven, seed)
+	if err != nil {
+		return runner.Metrics{}, nil, nil, err
+	}
+	var res *renaming.Result
 	switch spec.Algo {
 	case AlgoByzantine:
-		byz, err := strat.ByzMap()
-		if err != nil {
-			return nil, err
+		byz, berr := strat.ByzMap()
+		if berr != nil {
+			return runner.Metrics{}, nil, nil, berr
 		}
 		bspec := renaming.ByzSpec{
 			N: spec.BigN, IDs: ids, Seed: seed,
@@ -423,17 +415,21 @@ func replayStrategy(spec Spec, strat Strategy, seed int64, ids []int) (*renaming
 			// pre-mixed-fault engine configuration.
 			bspec.Fault = strat.Fault()
 		}
-		return renaming.RunByzantine(spec.N, bspec)
+		res, err = renaming.RunByzantine(spec.N, bspec)
 	case AlgoBaselineA2A:
-		return renaming.RunBaseline(spec.N, renaming.BaselineSpec{
+		res, err = renaming.RunBaseline(spec.N, renaming.BaselineSpec{
 			Kind: renaming.BaselineAllToAllCrash,
 			N:    spec.BigN, IDs: ids, Seed: seed, Fault: strat.Fault(),
 		})
 	default:
-		return renaming.RunCrash(spec.N, renaming.CrashSpec{
+		res, err = renaming.RunCrash(spec.N, renaming.CrashSpec{
 			N: spec.BigN, IDs: ids, Seed: seed,
 			CommitteeScale: spec.CommitteeScale, EarlyStop: spec.EarlyStop,
 			Fault: strat.Fault(), Profile: true,
 		})
 	}
+	if err != nil {
+		return runner.Metrics{}, nil, nil, err
+	}
+	return runner.FromResult(res, spec.N), res, spec.Oracle.Check(spec.N, ids, res), nil
 }

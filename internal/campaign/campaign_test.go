@@ -237,9 +237,12 @@ func TestCampaignZeroFaultBudget(t *testing.T) {
 	}
 }
 
-// TestSpecValidation rejects mismatched generator/algo pairs and bad
-// sizes.
+// TestSpecValidation rejects unknown algos and generators, mismatched
+// generator/algo pairs, a custom oracle the service would ignore, and
+// bad sizes.
 func TestSpecValidation(t *testing.T) {
+	ceiling := CrashExpectation(32)
+	ceiling.RoundCeiling = 5
 	cases := []Spec{
 		{Algo: AlgoCrash, N: 0, Executions: 1},
 		{Algo: AlgoCrash, N: 32, Executions: 0},
@@ -247,6 +250,10 @@ func TestSpecValidation(t *testing.T) {
 		{Algo: AlgoByzantine, N: 32, Executions: 1, Generator: GenMixed},
 		{Algo: AlgoCrash, N: 32, Executions: 1, Budget: 32},
 		{Algo: AlgoCrash, N: 32, Executions: 1, Budget: -2},
+		{Algo: "byzantine-typo", N: 32, Executions: 1},
+		{Algo: "byzantine-typo", N: 32, Executions: 1, Generator: GenMixed},
+		{Algo: AlgoCrash, N: 32, Executions: 1, Generator: "mixd"},
+		{Algo: AlgoService, N: 32, Executions: 1, Oracle: &Oracle{Expect: ceiling}},
 	}
 	for i, spec := range cases {
 		if _, err := spec.withDefaults(); err == nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"renaming"
 	"renaming/internal/adversary"
 	"renaming/internal/runner"
 	"renaming/internal/sim"
@@ -47,7 +46,9 @@ const (
 // count (seeds are fixed by global execution index before scheduling).
 type SearchSpec struct {
 	// Base is the campaign configuration every candidate is evaluated
-	// under (algo, sizes, fault budget, oracle, workers, sinks).
+	// under (algo, sizes, fault budget, oracle, workers, sinks). The algo
+	// must be crash, baseline-a2a or byzantine: mutation and descent
+	// edit one-shot strategies, so AlgoService is rejected.
 	// Base.Executions and Base.Generator are ignored: BudgetExecs bounds
 	// the search and the bandit spans all families for the algo.
 	Base Spec
@@ -142,6 +143,11 @@ func Search(spec SearchSpec) (*SearchOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	if base.Algo == AlgoService {
+		// The bandit arms, mutations and descent moves edit one-shot
+		// crash schedules and corruption sets, not epoch-keyed churn.
+		return nil, fmt.Errorf("campaign: search does not support algo %q", base.Algo)
+	}
 	if spec.BudgetExecs <= 0 {
 		return nil, fmt.Errorf("campaign: search needs a positive execution budget, got %d", spec.BudgetExecs)
 	}
@@ -159,10 +165,7 @@ func Search(spec SearchSpec) (*SearchOutcome, error) {
 		return nil, fmt.Errorf("campaign: unknown objective %q", spec.Objective)
 	}
 
-	arms := CrashGenerators()
-	if base.Algo == AlgoByzantine {
-		arms = ByzGenerators()
-	}
+	arms := generators(base.Algo)
 	armIndex := make(map[GeneratorKind]int, len(arms))
 	for i, kind := range arms {
 		armIndex[kind] = i
@@ -301,23 +304,14 @@ func evaluate(base Spec, obj Objective, plan []planned, gen, execBase int) ([]Ca
 				"op": plan[j].op, "exec": fmt.Sprint(execBase + j),
 			},
 			Run: func(seed int64) (runner.Metrics, error) {
-				ids, err := renaming.GenerateIDs(base.N, base.BigN, renaming.IDsEven, seed)
+				m, _, viols, err := execute(base, strat, seed)
 				if err != nil {
 					return runner.Metrics{}, err
 				}
-				res, err := replayStrategy(base, strat, seed, ids)
-				if err != nil {
-					return runner.Metrics{}, err
-				}
-				viols := base.Oracle.Check(base.N, ids, res)
 				for vi := range viols {
 					viols[vi].Exec = execBase + j
-					viols[vi].Seed = seed
-					viols[vi].Strategy = strat
 				}
 				violations[j] = viols
-				m := runner.FromResult(res, base.N)
-				m.Violations = Codes(viols)
 				return m, nil
 			},
 		}

@@ -112,7 +112,8 @@ func TestSearchByzantineObjectiveEnvelope(t *testing.T) {
 	}
 }
 
-// TestSearchRejectsBadSpecs: objective and budget validation.
+// TestSearchRejectsBadSpecs: objective, budget and algo validation —
+// search mutates one-shot strategies, so the service algo is refused.
 func TestSearchRejectsBadSpecs(t *testing.T) {
 	base := Spec{Algo: AlgoCrash, N: 32, Seed: 1, Budget: BudgetDefault}
 	if _, err := Search(SearchSpec{Base: base, BudgetExecs: 0}); err == nil {
@@ -120,6 +121,10 @@ func TestSearchRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := Search(SearchSpec{Base: base, BudgetExecs: 8, Objective: "latency"}); err == nil {
 		t.Fatal("unknown objective accepted")
+	}
+	service := Spec{Algo: AlgoService, N: 64, Seed: 1, Budget: BudgetDefault}
+	if _, err := Search(SearchSpec{Base: service, BudgetExecs: 8}); err == nil {
+		t.Fatal("service algo accepted")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"renaming"
 	"renaming/internal/adversary"
@@ -59,98 +60,68 @@ func ddmin[T any](items []T, keep func([]T) (bool, error)) ([]T, error) {
 	return current, nil
 }
 
-// ShrinkSchedule minimizes a crash schedule with respect to fails:
-// first delta-debugs the event list down to a locally minimal subset,
-// then simplifies surviving events (drops mid-send filters, grounds
-// rounds to 0) where the failure persists. The result still fails.
-func ShrinkSchedule(strat Strategy, fails Fails) (Strategy, error) {
-	withSchedule := func(events []adversary.Event) Strategy {
-		s := strat
-		s.Schedule = events
-		return s
+// ShrinkStrategy minimizes strat with respect to fails. It delta-debugs
+// the corruption list, then the crash schedule, then the epoch-keyed
+// churn list, each with the other lists held fixed; ddmin on an empty
+// list costs no replay. It then simplifies every surviving crash event
+// field by field — drops its mid-send filter, grounds its round to 0 —
+// where the failure persists. Epoch keys are never touched: moving an
+// event across epochs would land it in a different one-shot run, i.e.
+// produce a different strategy rather than a smaller one. The result
+// still fails.
+func ShrinkStrategy(strat Strategy, fails Fails) (Strategy, error) {
+	strat, err := ddminList(strat, fails, func(s *Strategy) *[]ByzAssignment { return &s.Byzantine })
+	if err == nil {
+		strat, err = ddminList(strat, fails, func(s *Strategy) *[]adversary.Event { return &s.Schedule })
 	}
-	events, err := ddmin(strat.Schedule, func(candidate []adversary.Event) (bool, error) {
-		return fails(withSchedule(candidate))
-	})
+	if err == nil {
+		strat, err = ddminList(strat, fails, func(s *Strategy) *[]ChurnEvent { return &s.Churn })
+	}
 	if err != nil {
 		return Strategy{}, err
 	}
-	// Attribute simplification: each surviving event is reduced
-	// field-by-field when the reduction preserves the failure.
-	for i := range events {
+	for i := range len(strat.Schedule) + len(strat.Churn) {
 		for _, simplify := range []func(*adversary.Event){
 			func(ev *adversary.Event) { ev.MidSend = false },
 			func(ev *adversary.Event) { ev.Round = 0 },
 		} {
-			candidate := append([]adversary.Event(nil), events...)
-			simplify(&candidate[i])
-			if candidate[i] == events[i] {
+			candidate := strat
+			candidate.Schedule = slices.Clone(strat.Schedule)
+			candidate.Churn = slices.Clone(strat.Churn)
+			var ev *adversary.Event
+			if i < len(candidate.Schedule) {
+				ev = &candidate.Schedule[i]
+			} else {
+				ev = &candidate.Churn[i-len(candidate.Schedule)].Event
+			}
+			before := *ev
+			simplify(ev)
+			if *ev == before {
 				continue
 			}
-			ok, err := fails(withSchedule(candidate))
+			ok, err := fails(candidate)
 			if err != nil {
 				return Strategy{}, err
 			}
 			if ok {
-				events = candidate
+				strat = candidate
 			}
 		}
 	}
-	return withSchedule(events), nil
+	return strat, nil
 }
 
-// ShrinkChurn minimizes an epoch-keyed churn schedule with respect to
-// fails: delta-debugs the event list, then simplifies surviving events
-// (drops mid-send filters, grounds rounds to 0) where the failure
-// persists. The epoch key is never touched — moving an event across
-// epochs would change which one-shot run it lands in, i.e. produce a
-// different strategy rather than a smaller one.
-func ShrinkChurn(strat Strategy, fails Fails) (Strategy, error) {
-	withChurn := func(events []ChurnEvent) Strategy {
+// ddminList delta-debugs the list that field selects in strat.
+func ddminList[T any](strat Strategy, fails Fails, field func(*Strategy) *[]T) (Strategy, error) {
+	kept, err := ddmin(*field(&strat), func(candidate []T) (bool, error) {
 		s := strat
-		s.Churn = events
-		return s
-	}
-	events, err := ddmin(strat.Churn, func(candidate []ChurnEvent) (bool, error) {
-		return fails(withChurn(candidate))
-	})
-	if err != nil {
-		return Strategy{}, err
-	}
-	for i := range events {
-		for _, simplify := range []func(*ChurnEvent){
-			func(ev *ChurnEvent) { ev.MidSend = false },
-			func(ev *ChurnEvent) { ev.Round = 0 },
-		} {
-			candidate := append([]ChurnEvent(nil), events...)
-			simplify(&candidate[i])
-			if candidate[i] == events[i] {
-				continue
-			}
-			ok, err := fails(withChurn(candidate))
-			if err != nil {
-				return Strategy{}, err
-			}
-			if ok {
-				events = candidate
-			}
-		}
-	}
-	return withChurn(events), nil
-}
-
-// ShrinkByzantine minimizes a Byzantine assignment with respect to
-// fails by delta-debugging the corruption list.
-func ShrinkByzantine(strat Strategy, fails Fails) (Strategy, error) {
-	assignments, err := ddmin(strat.Byzantine, func(candidate []ByzAssignment) (bool, error) {
-		s := strat
-		s.Byzantine = candidate
+		*field(&s) = candidate
 		return fails(s)
 	})
 	if err != nil {
 		return Strategy{}, err
 	}
-	strat.Byzantine = assignments
+	*field(&strat) = kept
 	return strat, nil
 }
 
@@ -187,16 +158,23 @@ type ReproArtifact struct {
 // Shrink minimizes the violating strategy of v under spec and returns a
 // replayable artifact. The failure predicate is "replaying the strategy
 // still violates the same invariant under the campaign's oracle" —
-// shrinking never drifts onto a different failure. Crash/baseline
-// strategies shrink their schedules; Byzantine strategies their
-// corruption sets.
+// shrinking never drifts onto a different failure.
 func Shrink(spec Spec, v Violation) (*ReproArtifact, error) {
 	spec, err := spec.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	fails := func(strat Strategy) (bool, error) {
-		return violates(spec, strat, v.Seed, v.Invariant)
+		_, _, viols, err := execute(spec, strat, v.Seed)
+		if err != nil {
+			return false, err
+		}
+		for _, found := range viols {
+			if found.Invariant == v.Invariant {
+				return true, nil
+			}
+		}
+		return false, nil
 	}
 	// The reported strategy must fail its own predicate; a mismatch
 	// means the violation is not deterministic in (seed, strategy) and
@@ -208,20 +186,7 @@ func Shrink(spec Spec, v Violation) (*ReproArtifact, error) {
 	if !still {
 		return nil, fmt.Errorf("campaign: violation %q at exec %d does not reproduce — refusing to shrink", v.Invariant, v.Exec)
 	}
-	var shrunk Strategy
-	if spec.Algo == AlgoByzantine {
-		shrunk, err = ShrinkByzantine(v.Strategy, fails)
-		if err == nil && len(shrunk.Schedule) > 0 {
-			// Mixed-fault strategies carry a crash schedule too; shrink
-			// it after the corruption set so the final artifact is
-			// locally minimal in both lists.
-			shrunk, err = ShrinkSchedule(shrunk, fails)
-		}
-	} else if spec.Algo == AlgoService {
-		shrunk, err = ShrinkChurn(v.Strategy, fails)
-	} else {
-		shrunk, err = ShrinkSchedule(v.Strategy, fails)
-	}
+	shrunk, err := ShrinkStrategy(v.Strategy, fails)
 	if err != nil {
 		return nil, err
 	}
@@ -238,80 +203,18 @@ func Shrink(spec Spec, v Violation) (*ReproArtifact, error) {
 	return a, nil
 }
 
-// violates replays strat at seed under spec and reports whether the
-// oracle still flags the given invariant.
-func violates(spec Spec, strat Strategy, seed int64, invariant string) (bool, error) {
-	if spec.Algo == AlgoService {
-		_, viols, err := replayServiceStrategy(spec, strat, seed)
-		if err != nil {
-			return false, err
-		}
-		for _, found := range viols {
-			if found.Invariant == invariant {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	ids, err := renaming.GenerateIDs(spec.N, spec.BigN, renaming.IDsEven, seed)
-	if err != nil {
-		return false, err
-	}
-	res, err := replayStrategy(spec, strat, seed, ids)
-	if err != nil {
-		return false, err
-	}
-	for _, found := range spec.Oracle.Check(spec.N, ids, res) {
-		if found.Invariant == invariant {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 // Replay re-executes the artifact and rechecks it against the oracle
 // (the artifact's violation should reappear unless the underlying bug
 // has been fixed). The artifact's own expectation is the theorem
-// default for its algo.
+// default for its algo; a service artifact replays the whole churn
+// trace and returns its trace-aggregate Result.
 func (a *ReproArtifact) Replay() (*renaming.Result, []Violation, error) {
 	spec, err := a.Spec().withDefaults()
 	if err != nil {
 		return nil, nil, err
 	}
-	if spec.Algo == AlgoService {
-		// A service artifact replays the whole churn trace; the
-		// returned Result carries the trace-aggregate metrics (there
-		// is no single one-shot execution to hand back).
-		m, viols, err := replayServiceStrategy(spec, a.Strategy, a.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := range viols {
-			viols[i].Seed = a.Seed
-			viols[i].Strategy = a.Strategy
-		}
-		res := &renaming.Result{
-			Unique: m.Unique, OrderPreserving: m.OrderPreserving,
-			Crashes: m.Crashes, Rounds: m.Rounds,
-			Messages: m.Messages, Bits: m.Bits,
-			HonestMessages: m.HonestMessages, HonestBits: m.HonestBits,
-		}
-		return res, viols, nil
-	}
-	ids, err := renaming.GenerateIDs(spec.N, spec.BigN, renaming.IDsEven, a.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := replayStrategy(spec, a.Strategy, a.Seed, ids)
-	if err != nil {
-		return nil, nil, err
-	}
-	viols := spec.Oracle.Check(spec.N, ids, res)
-	for i := range viols {
-		viols[i].Seed = a.Seed
-		viols[i].Strategy = a.Strategy
-	}
-	return res, viols, nil
+	_, res, viols, err := execute(spec, a.Strategy, a.Seed)
+	return res, viols, err
 }
 
 // Spec reconstructs a single-execution campaign spec from the artifact.

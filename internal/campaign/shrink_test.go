@@ -10,8 +10,8 @@ import (
 
 // TestShrinkScheduleToPlantedCore plants a violation predicate — the
 // "uniqueness breach" reproduces iff the schedule still crashes both
-// node 3 and node 7 — inside a 16-event schedule and checks the
-// shrinker reduces it to exactly the two-event core with grounded
+// node 3 and node 7 — inside a 16-event schedule and checks
+// ShrinkStrategy reduces it to exactly the two-event core with grounded
 // attributes.
 func TestShrinkScheduleToPlantedCore(t *testing.T) {
 	strat, err := Generate(GenSpec{Kind: GenMixed, N: 64, Budget: 16, Rounds: 30}, 12345)
@@ -31,7 +31,7 @@ func TestShrinkScheduleToPlantedCore(t *testing.T) {
 		}
 		return has[3] && has[7], nil
 	}
-	shrunk, err := ShrinkSchedule(strat, fails)
+	shrunk, err := ShrinkStrategy(strat, fails)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestShrinkByzantineToPlantedCore(t *testing.T) {
 		}
 		return false, nil
 	}
-	shrunk, err := ShrinkByzantine(strat, fails)
+	shrunk, err := ShrinkStrategy(strat, fails)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,10 @@ func TestBrokenOracleDetectShrinkReplay(t *testing.T) {
 // format version, and LoadArtifact refuses every other version with an
 // error — a pre-salt artifact (no version field, salt-less mid-send
 // events keyed by slice index) can no longer replay faithfully, and an
-// artifact from a future format would be misread.
+// artifact from a future format would be misread. A current-version
+// artifact that names no runnable execution — an unknown algo, a
+// generator of another algo, an unknown behavior — loads but fails to
+// replay with an error, never a panic.
 func TestArtifactVersionAndLegacyReplay(t *testing.T) {
 	broken := CrashExpectation(32)
 	broken.RoundCeiling = 1
@@ -185,12 +188,22 @@ func TestArtifactVersionAndLegacyReplay(t *testing.T) {
 		}`,
 		"version1": `{"version": 1, "algo": "crash", "n": 32, "N": 512, "seed": 1, "invariant": "uniqueness", "strategy": {"generator": "mixed"}}`,
 		"future":   `{"version": 99, "algo": "crash", "n": 32, "N": 512, "seed": 1, "invariant": "uniqueness", "strategy": {"generator": "mixed"}}`,
+		"unknown-algo": `{"version": 2, "algo": "byzantine-typo", "n": 32, "N": 512, "seed": 1, "invariant": "uniqueness",
+			"strategy": {"generator": "mixed", "schedule": [{"round": 2, "node": 5, "salt": 7}]}}`,
+		"mismatched-generator": `{"version": 2, "algo": "crash", "n": 32, "N": 512, "seed": 1, "invariant": "uniqueness",
+			"strategy": {"generator": "byz-uniform", "byzantine": [{"link": 3, "behavior": "spam"}]}}`,
+		"unknown-behavior": `{"version": 2, "algo": "byzantine", "n": 32, "N": 256, "seed": 1, "invariant": "uniqueness",
+			"strategy": {"generator": "byz-uniform", "byzantine": [{"link": 3, "behavior": "laser"}]}}`,
 	} {
 		path := filepath.Join(dir, name+".json")
 		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if a, err := LoadArtifact(path); err == nil {
+		a, err := LoadArtifact(path)
+		if err == nil {
+			_, _, err = a.Replay()
+		}
+		if err == nil {
 			t.Fatalf("%s artifact (version %d) accepted", name, a.Version)
 		}
 	}
@@ -214,10 +227,9 @@ func TestShrinkRefusesNonReproducing(t *testing.T) {
 	}
 }
 
-// TestShrinkChurnToPlantedCore: the churn shrinker reduces an
-// epoch-keyed event list to a planted two-event core, grounds the
-// surviving events' round/mid-send attributes, and never moves an
-// event across epochs.
+// TestShrinkChurnToPlantedCore: ShrinkStrategy reduces an epoch-keyed
+// event list to a planted two-event core, grounds the surviving events'
+// round/mid-send attributes, and never moves an event across epochs.
 func TestShrinkChurnToPlantedCore(t *testing.T) {
 	strat, err := Generate(GenSpec{
 		Kind: GenChurn, N: 64, Budget: 14, Rounds: 30, Epochs: 10, BatchMax: 8,
@@ -236,7 +248,7 @@ func TestShrinkChurnToPlantedCore(t *testing.T) {
 		}
 		return has[3] && has[7], nil
 	}
-	shrunk, err := ShrinkChurn(strat, fails)
+	shrunk, err := ShrinkStrategy(strat, fails)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"renaming"
@@ -69,15 +70,33 @@ const (
 	GenChurn GeneratorKind = "churn"
 )
 
-// CrashGenerators lists the crash-schedule generator kinds.
-func CrashGenerators() []GeneratorKind {
-	return []GeneratorKind{GenEarlyBurst, GenTrickle, GenTargeted, GenMixed}
+// generators lists the generator kinds whose strategies algo executes:
+// crash schedules for crash and baseline-a2a, corruption sets (the
+// mixed crash+Byzantine family included) for byzantine, epoch-keyed
+// churn for service. It is nil for an unknown algo.
+func generators(algo Algo) []GeneratorKind {
+	switch algo {
+	case AlgoCrash, AlgoBaselineA2A:
+		return []GeneratorKind{GenEarlyBurst, GenTrickle, GenTargeted, GenMixed}
+	case AlgoByzantine:
+		return []GeneratorKind{GenByzUniform, GenByzSkew, GenByzSilent, GenMixedFault}
+	case AlgoService:
+		return []GeneratorKind{GenChurn}
+	}
+	return nil
 }
 
-// ByzGenerators lists the Byzantine-strategy generator kinds (including
-// the mixed crash+Byzantine family, which runs under AlgoByzantine).
-func ByzGenerators() []GeneratorKind {
-	return []GeneratorKind{GenByzUniform, GenByzSkew, GenByzSilent, GenMixedFault}
+// CheckGenerator returns an error unless algo is a known algo and gen
+// draws strategies it can execute.
+func CheckGenerator(algo Algo, gen GeneratorKind) error {
+	kinds := generators(algo)
+	if kinds == nil {
+		return fmt.Errorf("campaign: unknown algo %q (want %s, %s, %s or %s)", algo, AlgoCrash, AlgoByzantine, AlgoBaselineA2A, AlgoService)
+	}
+	if !slices.Contains(kinds, gen) {
+		return fmt.Errorf("campaign: generator %q does not match algo %q", gen, algo)
+	}
+	return nil
 }
 
 // IsByz reports whether the kind generates Byzantine strategies.
@@ -87,11 +106,6 @@ func (g GeneratorKind) IsByz() bool {
 		return true
 	}
 	return false
-}
-
-// ChurnGenerators lists the service-churn generator kinds.
-func ChurnGenerators() []GeneratorKind {
-	return []GeneratorKind{GenChurn}
 }
 
 // ChurnEvent is one planned crash inside a long-lived service

@@ -511,7 +511,7 @@ func (node *ByzNode) distribute() {
 	}
 	buf := node.newBuf[:0]
 	for id, link := range node.knownLink {
-		payload := NewPayload{SizeSmallN: node.n}
+		var payload NewPayload
 		if node.list.Get(id) && !node.inDirty(id) {
 			payload.NewID = node.list.Rank(id) + 1
 		} else {
@@ -533,26 +533,18 @@ func (node *ByzNode) inDirty(id int) bool {
 }
 
 // absorbNew accumulates NEW messages from committee members (one per
-// sender; only committee links count). Correct members send the packed
-// form; Byzantine strategies may fabricate unpacked NewPayloads, so
-// both are accepted.
+// sender; only committee links count).
 func (node *ByzNode) absorbNew(inbox []sim.Message) {
 	for _, msg := range inbox {
-		var p NewPayload
-		switch v := msg.Payload.(type) {
-		case *PackedNew:
-			newByzCodec(node.n, node.cfg.N).decodeNew(v, &p)
-		case NewPayload:
-			p = v
-		default:
-			continue
-		}
-		if !node.isMemberLink(msg.From) {
+		packed, ok := msg.Payload.(*PackedNew)
+		if !ok || !node.isMemberLink(msg.From) {
 			continue
 		}
 		if _, dup := node.newVotes[msg.From]; dup {
 			continue
 		}
+		var p NewPayload
+		newByzCodec(node.n, node.cfg.N).decodeNew(packed, &p)
 		node.newVotes[msg.From] = p
 		node.votesDirty = true
 	}

@@ -69,18 +69,11 @@ func (SubPayload) Kind() string { return KindSub }
 // Bits implements sim.Payload.
 func (p SubPayload) Bits() int { return p.ValueBits + p.PCBits }
 
-// NewPayload distributes a node's new identity. Null marks that the
-// sender's copy of the recipient's segment was dirty, so it abstains.
+// NewPayload is the decoded form of a NEW message, which distributes a
+// node's new identity; on the wire it travels as *PackedNew. Null marks
+// that the sender's copy of the recipient's segment was dirty, so it
+// abstains.
 type NewPayload struct {
-	NewID      int
-	Null       bool
-	SizeSmallN int
+	NewID int
+	Null  bool
 }
-
-var _ sim.Payload = NewPayload{}
-
-// Kind implements sim.Payload.
-func (NewPayload) Kind() string { return KindNew }
-
-// Bits implements sim.Payload.
-func (p NewPayload) Bits() int { return bitsFor(p.SizeSmallN) + 1 }

@@ -64,6 +64,14 @@ type ByzAttacker struct {
 	inPool      bool
 	spamTargets []int      // all links, precomputed for BehaviorSpam
 	outBuf      sim.Outbox // attack-round scratch, valid until next Step
+
+	// codec encodes fabricated NEW payloads into the one wire form
+	// correct members use. newArenas hold them, alternating by round
+	// parity: recipients decode round r's payloads during round r+1,
+	// possibly on another worker, while the attacker fills the other
+	// arena.
+	codec     byzCodec
+	newArenas [2][]PackedNew
 }
 
 var _ sim.Node = (*ByzAttacker)(nil)
@@ -83,6 +91,7 @@ func NewByzAttacker(cfg ByzConfig, idx int, behavior ByzBehavior) *ByzAttacker {
 		rng:      sim.NewRand(cfg.Seed, 0x62797a<<20|uint64(idx)), // "byz" stream
 		poolSet:  cfg.pre.poolSet,
 		inPool:   false,
+		codec:    newByzCodec(len(cfg.IDs), cfg.N),
 	}
 	if behavior == BehaviorSpam {
 		a.spamTargets = make([]int, a.n)
@@ -184,10 +193,9 @@ func (a *ByzAttacker) attackRound(round int, inbox []sim.Message) sim.Outbox {
 		a.fakeNew(round)
 	case BehaviorSpam:
 		a.equivocateSub(round, a.spamTargets)
+		arena := a.newArena(round, len(a.spamTargets))
 		for _, to := range a.spamTargets {
-			a.outBuf = append(a.outBuf, sim.Message{From: a.idx, To: to, Payload: NewPayload{
-				NewID: a.rng.Intn(a.n) + 1, SizeSmallN: a.n,
-			}})
+			arena = a.sendNew(arena, to, a.rng.Intn(a.n)+1)
 		}
 	default:
 		return nil
@@ -256,10 +264,28 @@ func (a *ByzAttacker) fakeNew(round int) {
 	if round%3 != 0 {
 		return
 	}
+	arena := a.newArena(round, 4)
 	for k := 0; k < 4; k++ {
 		to := a.rng.Intn(a.n)
-		a.outBuf = append(a.outBuf, sim.Message{From: a.idx, To: to, Payload: NewPayload{
-			NewID: a.rng.Intn(a.n) + 1, SizeSmallN: a.n,
-		}})
+		arena = a.sendNew(arena, to, a.rng.Intn(a.n)+1)
 	}
+}
+
+// newArena returns round's emptied NEW arena with room for size
+// payloads, so appending them never moves payloads already sent.
+func (a *ByzAttacker) newArena(round, size int) []PackedNew {
+	arena := &a.newArenas[round&1]
+	if cap(*arena) < size {
+		*arena = make([]PackedNew, 0, size)
+	}
+	return (*arena)[:0]
+}
+
+// sendNew appends a NEW claiming name id, addressed to link to, to the
+// outbox; the payload is encoded into arena exactly as a correct
+// member's distribution would be (id ≤ n ≤ N fits the codec's width).
+func (a *ByzAttacker) sendNew(arena []PackedNew, to, id int) []PackedNew {
+	arena = append(arena, a.codec.encodeNew(NewPayload{NewID: id}))
+	a.outBuf = append(a.outBuf, sim.Message{From: a.idx, To: to, Payload: &arena[len(arena)-1]})
+	return arena
 }

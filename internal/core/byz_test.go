@@ -234,6 +234,56 @@ func TestByzSpammer(t *testing.T) {
 	run.checkPartitions(t)
 }
 
+// TestByzAttackerNewWireForm: attackers fabricate NEW messages in the
+// one wire form correct members use — *PackedNew billed at bitsFor(n)+1,
+// carrying an adversarial name in [1, n] — and a round's payloads stay
+// intact through the next round, when recipients decode them.
+func TestByzAttackerNewWireForm(t *testing.T) {
+	n := 16
+	cfg := byzConfig(n, 4*n, 5, 0)
+	codec := newByzCodec(n, cfg.N)
+	for _, behavior := range []ByzBehavior{BehaviorSpam, BehaviorEquivocate} {
+		a := NewByzAttacker(cfg, 4, behavior)
+		var sent []*PackedNew
+		var values []NewPayload
+		total := 0
+		for round := 0; round < 8; round++ {
+			out := a.Step(round, nil)
+			for i, p := range sent {
+				var got NewPayload
+				codec.decodeNew(p, &got)
+				if got != values[i] {
+					t.Fatalf("behavior %d round %d: NEW %d sent last round now reads %+v, was %+v", behavior, round, i, got, values[i])
+				}
+			}
+			sent, values = sent[:0], values[:0]
+			for _, msg := range out {
+				if msg.Payload.Kind() != KindNew {
+					continue
+				}
+				p, ok := msg.Payload.(*PackedNew)
+				if !ok {
+					t.Fatalf("behavior %d round %d: NEW sent as %T", behavior, round, msg.Payload)
+				}
+				if p.Bits() != bitsFor(n)+1 {
+					t.Fatalf("behavior %d round %d: NEW bills %d bits, want %d", behavior, round, p.Bits(), bitsFor(n)+1)
+				}
+				var v NewPayload
+				codec.decodeNew(p, &v)
+				if v.Null || v.NewID < 1 || v.NewID > n {
+					t.Fatalf("behavior %d round %d: fabricated NEW %+v outside [1, %d]", behavior, round, v, n)
+				}
+				sent = append(sent, p)
+				values = append(values, v)
+			}
+			total += len(sent)
+		}
+		if total == 0 {
+			t.Fatalf("behavior %d sent no NEW messages", behavior)
+		}
+	}
+}
+
 // TestByzSmallCommittee uses a pool-probability override so the committee
 // is a strict subset of the nodes, exercising the member/non-member
 // asymmetry and the NEW quorum logic.

@@ -71,29 +71,30 @@ func TestCrashCodecKinds(t *testing.T) {
 	if (PackedResponse{}).Kind() != (ResponsePayload{}).Kind() {
 		t.Fatal("packed response kind differs from struct kind")
 	}
-	if (PackedNew{}).Kind() != (NewPayload{}).Kind() {
-		t.Fatal("packed new kind differs from struct kind")
+	if (PackedNew{}).Kind() != KindNew {
+		t.Fatal("packed new kind differs from KindNew")
 	}
 }
 
-// TestByzCodecRoundTrip checks the NEW codec against the struct: the
-// round-trip is the identity (including identities above n, which
-// Byzantine-inflated ranks can produce) and billing matches the struct.
+// TestByzCodecRoundTrip checks the NEW codec against its decoded form:
+// the round-trip is the identity (including identities above n, which
+// Byzantine-inflated ranks can produce) and billing is the paper's
+// bitsFor(n)+1 whatever the packed width.
 func TestByzCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 << (1 + rng.Intn(16))
 		bigN := n * (1 + rng.Intn(8))
 		c := newByzCodec(n, bigN)
-		p := NewPayload{SizeSmallN: n}
+		var p NewPayload
 		if rng.Intn(4) == 0 {
 			p.Null = true
 		} else {
 			p.NewID = 1 + rng.Intn(bigN)
 		}
 		pn := c.encodeNew(p)
-		if pn.Bits() != p.Bits() {
-			t.Fatalf("trial %d: packed new bills %d bits, struct bills %d", trial, pn.Bits(), p.Bits())
+		if pn.Bits() != bitsFor(n)+1 {
+			t.Fatalf("trial %d: packed new bills %d bits, want bitsFor(%d)+1 = %d", trial, pn.Bits(), n, bitsFor(n)+1)
 		}
 		var back NewPayload
 		c.decodeNew(&pn, &back)
