@@ -13,6 +13,7 @@ ci:
 	if command -v staticcheck >/dev/null; then staticcheck ./...; else echo "staticcheck not installed, skipping"; fi
 	$(GO) build ./...
 	$(GO) test ./... -short -race
+	$(GO) test -race -count=200 -run 'TestSinkFailureStopsScheduling$$' ./internal/runner
 	$(GO) test -run '^$$' -bench StepRound -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench ByzStepRound -benchtime 1x .
 	$(GO) test -run '^$$' -bench CrashStepRound -benchtime 1x .

@@ -4,9 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"renaming"
+	"renaming/internal/adversary"
+	"renaming/internal/core"
+	"renaming/internal/sim"
 )
 
 // byzGoldenFingerprint pins the complete telemetry (JSON-marshalled
@@ -71,6 +75,76 @@ func TestByzantineDeterminism(t *testing.T) {
 			sum := sha256.Sum256(blob)
 			if got := hex.EncodeToString(sum[:]); got != tc.golden {
 				t.Errorf("%s workers=%d: telemetry fingerprint %s, want %s", tc.name, workers, got, tc.golden)
+			}
+		}
+	}
+}
+
+// TestByzMidSendNewDeterminism crashes two committee members mid-send in
+// their distribution round. A mid-send filter draws one verdict per
+// message in outbox order, so which recipients get a crashed member's NEW
+// depends on the order distribute emits them in: that order must be a
+// function of the run, so that repeated runs — at 1 and at 8 engine
+// workers — agree on every node's received-message count and output.
+func TestByzMidSendNewDeterminism(t *testing.T) {
+	const n, distRound = 32, 231
+	ids, err := renaming.GenerateIDs(n, 8*n, renaming.IDsEven, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.ByzConfig{N: 8 * n, IDs: ids, Seed: 7, PoolProb: 0.3}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.Precompute()
+	run := func(workers int) string {
+		nodes := make([]sim.Node, n)
+		honest := make([]*core.ByzNode, n)
+		for i := range nodes {
+			if i == 3 {
+				nodes[i] = core.NewByzAttacker(cfg, i, core.BehaviorSplitWorld)
+				continue
+			}
+			honest[i] = core.NewByzNode(cfg, i)
+			nodes[i] = honest[i]
+		}
+		sched := &adversary.EventSchedule{Seed: 7, Events: []adversary.Event{
+			{Round: distRound, Node: 1, MidSend: true, Salt: 11},
+			{Round: distRound, Node: 7, MidSend: true, Salt: 12},
+		}}
+		var distNew int64
+		nw := sim.NewNetwork(nodes,
+			sim.WithByzantine([]int{3}),
+			sim.WithCrashAdversary(sched),
+			sim.WithEngineWorkers(workers),
+			sim.WithRoundDigest(func(d sim.RoundDigest) {
+				if d.Round == distRound {
+					distNew = d.PerKind[core.KindNew]
+				}
+			}))
+		defer nw.Close()
+		if err := nw.Run(1 << 16); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		// Guard the scenario itself: both crashed nodes are members whose
+		// distribution round is the crash round.
+		if !honest[1].Elected() || !honest[7].Elected() || nw.CrashedAt(1) != distRound || nw.CrashedAt(7) != distRound || distNew == 0 {
+			t.Fatalf("workers=%d: scenario drifted: members %v/%v, crashed at %d/%d, %d NEW in round %d",
+				workers, honest[1].Elected(), honest[7].Elected(), nw.CrashedAt(1), nw.CrashedAt(7), distNew, distRound)
+		}
+		outs := make([]int, n)
+		for i, node := range honest {
+			if node != nil {
+				outs[i], _ = node.Output()
+			}
+		}
+		return fmt.Sprintf("received=%v outputs=%v", nw.Metrics().PerNodeReceived, outs)
+	}
+	want := run(1)
+	for rep := 0; rep < 4; rep++ {
+		for _, workers := range []int{1, 8} {
+			if got := run(workers); got != want {
+				t.Fatalf("run %d at workers=%d diverged:\n got %s\nwant %s", rep, workers, got, want)
 			}
 		}
 	}

@@ -132,10 +132,19 @@ func (v *Vector) SegmentWords(lo, hi int) []uint64 {
 	v.check(hi)
 	length := hi - lo + 1
 	out := make([]uint64, (length+63)/64)
-	for i := 0; i < length; i++ {
-		if v.Get(lo + i) {
-			out[i/64] |= 1 << uint(i%64)
+	// Word k of the segment is the 64 bits starting at global bit
+	// lo-1+64k: the tail of one source word shifted down, joined with the
+	// head of the next.
+	w0, off := (lo-1)/64, uint((lo-1)%64)
+	for k := range out {
+		w := v.words[w0+k] >> off
+		if off > 0 && w0+k+1 < len(v.words) {
+			w |= v.words[w0+k+1] << (64 - off)
 		}
+		out[k] = w
+	}
+	if tail := uint(length % 64); tail > 0 {
+		out[len(out)-1] &= (1 << tail) - 1
 	}
 	return out
 }

@@ -79,6 +79,42 @@ func TestCountRangeAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestSegmentWordsAgainstNaive compares the word-shifting SegmentWords
+// with a bit-by-bit reference over random lengths (including
+// non-multiples of 64), densities and segments.
+func TestSegmentWordsAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(400) + 1
+		v := New(n)
+		ref := make([]bool, n+1)
+		density := rng.Float64()
+		for pos := 1; pos <= n; pos++ {
+			if rng.Float64() < density {
+				v.Set(pos)
+				ref[pos] = true
+			}
+		}
+		lo := rng.Intn(n) + 1
+		hi := lo + rng.Intn(n-lo+1)
+		want := make([]uint64, (hi-lo+1+63)/64)
+		for i := 0; lo+i <= hi; i++ {
+			if ref[lo+i] {
+				want[i/64] |= 1 << uint(i%64)
+			}
+		}
+		got := v.SegmentWords(lo, hi)
+		if len(got) != len(want) {
+			t.Fatalf("N=%d SegmentWords(%d,%d): %d words, want %d", n, lo, hi, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("N=%d SegmentWords(%d,%d) word %d = %x, want %x", n, lo, hi, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 func TestSegmentWordsNormalized(t *testing.T) {
 	// Equal segments at different offsets must produce equal words.
 	a, b := New(200), New(200)

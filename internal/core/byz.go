@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"renaming/internal/bitvec"
@@ -63,7 +65,7 @@ type ByzNode struct {
 
 	// Committee-member state.
 	list      *bitvec.Vector
-	knownLink map[int]int // id → link for identities heard directly
+	heard     []bool // per link: announced its identity to this member
 	stack     []interval.Interval
 	processed []interval.Interval
 	dirty     []interval.Interval
@@ -79,12 +81,17 @@ type ByzNode struct {
 	// processed), the quantity Lemma 3.10 bounds by 4·f·log N.
 	iterations int
 
-	// Decision state (all correct nodes). votesDirty gates tryDecide to
-	// rounds where newVotes actually changed — its verdict is a pure
-	// function of newVotes, so re-evaluating an unchanged set is waste.
+	// Decision state (all correct nodes). newVotes holds one slot per
+	// committee member, indexed by its position in memberLinks, and votes
+	// counts the filled slots. votesDirty gates tryDecide to rounds where
+	// newVotes actually changed — its verdict is a pure function of
+	// newVotes, so re-evaluating an unchanged set is waste. tally is
+	// tryDecide's reused scratch.
 	phase      byzPhase
-	newVotes   map[int]NewPayload
+	newVotes   []newVote
+	votes      int
 	votesDirty bool
+	tally      []int
 	newID      int
 	decided    bool
 	halted     bool
@@ -109,11 +116,16 @@ type ByzNode struct {
 	boxed    sim.Payload
 	boxedKey SubPayload
 
-	// newBuf is the distribution arena: one PackedNew per known identity,
-	// sent by pointer so the |knownLink| NEW messages of a committee
-	// member share the arena instead of boxing a struct each (see
-	// byzCodec).
+	// newBuf is the distribution arena: one PackedNew per heard identity,
+	// sent by pointer so the NEW messages of a committee member share
+	// the arena instead of boxing a struct each (see byzCodec).
 	newBuf []PackedNew
+}
+
+// newVote is one committee member's NEW vote slot; ok marks it filled.
+type newVote struct {
+	p  NewPayload
+	ok bool
 }
 
 var _ sim.Node = (*ByzNode)(nil)
@@ -125,13 +137,12 @@ var _ sim.Quiescent = (*ByzNode)(nil)
 func NewByzNode(cfg ByzConfig, idx int) *ByzNode {
 	cfg = cfg.Precompute()
 	return &ByzNode{
-		idx:      idx,
-		id:       cfg.IDs[idx],
-		n:        len(cfg.IDs),
-		cfg:      cfg,
-		poolSet:  cfg.pre.poolSet,
-		phase:    phElect,
-		newVotes: make(map[int]NewPayload),
+		idx:     idx,
+		id:      cfg.IDs[idx],
+		n:       len(cfg.IDs),
+		cfg:     cfg,
+		poolSet: cfg.pre.poolSet,
+		phase:   phElect,
 	}
 }
 
@@ -152,13 +163,13 @@ func (node *ByzNode) Output() (int, bool) {
 // Halted implements sim.Node.
 func (node *ByzNode) Halted() bool { return node.halted }
 
-// QuiescentAt implements sim.Quiescent, ignoring the round: a halted
-// node, or a waiting node with no undigested NEW votes, does nothing on
-// an empty inbox — the phWait branch of Step only reads the inbox and
-// the votesDirty flag, never the round number or any randomness — so the
-// engine may elide the call. Committee members (phLoop) drive
-// subprotocol counters every round and are never quiescent.
-func (node *ByzNode) QuiescentAt(int) bool {
+// Idle implements sim.Quiescent: a halted node, or a waiting node with no
+// undigested NEW votes, does nothing on an empty inbox — the phWait
+// branch of Step only reads the inbox and the votesDirty flag, never the
+// round number or any randomness — so the engine may elide the call.
+// Committee members (phLoop) drive subprotocol counters every round and
+// are never idle.
+func (node *ByzNode) Idle() bool {
 	return node.halted || (node.phase == phWait && !node.votesDirty)
 }
 
@@ -248,18 +259,20 @@ func (node *ByzNode) stepAggregate(inbox []sim.Message) sim.Outbox {
 		}
 		node.committee = append(node.committee, member{id: e.ID, link: msg.From})
 	}
-	sort.Slice(node.committee, func(a, b int) bool { return node.committee[a].id < node.committee[b].id })
+	slices.SortFunc(node.committee, func(a, b member) int { return cmp.Compare(a.id, b.id) })
 	node.committee = dedupMembers(node.committee)
 	node.memberLinks = make([]int, 0, len(node.committee))
 	for _, m := range node.committee {
 		node.memberLinks = append(node.memberLinks, m.link)
 	}
 	sort.Ints(node.memberLinks)
+	node.newVotes = make([]newVote, len(node.memberLinks))
+	node.tally = make([]int, 0, len(node.memberLinks))
 
 	if node.elected {
 		node.phase = phLoop
 		node.list = bitvec.New(node.cfg.N)
-		node.knownLink = make(map[int]int)
+		node.heard = make([]bool, node.n)
 		node.stack = []interval.Interval{interval.Full(node.cfg.N)}
 	} else {
 		node.phase = phWait
@@ -287,7 +300,7 @@ func (node *ByzNode) stepLoop(inbox []sim.Message) sim.Outbox {
 				continue
 			}
 			node.list.Set(a.ID)
-			node.knownLink[a.ID] = msg.From
+			node.heard[msg.From] = true
 		}
 		node.startSegment()
 		node.pc++
@@ -500,23 +513,40 @@ func (node *ByzNode) wrapSub(msgs []consensus.Msg) {
 
 // distribute appends the NEW messages (Section 3.1, "Distribute new
 // identities") to outBuf: for every identity the member heard directly,
-// the rank in the agreed list if the identity's segment is clean, an
-// abstention otherwise.
+// the rank in the agreed list if the identity is set there and its
+// segment is clean, an abstention otherwise. Identities go out in
+// ascending order, so the outbox — and with it the order in which a
+// mid-send crash filter draws its verdicts — is a function of the run.
 func (node *ByzNode) distribute() {
 	codec := newByzCodec(node.n, node.cfg.N)
 	// Pre-size the arena: pointers into it must stay valid, so it cannot
 	// grow while messages reference it.
-	if cap(node.newBuf) < len(node.knownLink) {
-		node.newBuf = make([]PackedNew, 0, len(node.knownLink))
+	if cap(node.newBuf) < node.n {
+		node.newBuf = make([]PackedNew, 0, node.n)
 	}
 	buf := node.newBuf[:0]
-	for id, link := range node.knownLink {
+	// Links in ascending identity order, shared by every node of the run;
+	// rank counts the ones in [1, pos], and one CountRange per gap
+	// between consecutive identities keeps it at Rank(id) for the next
+	// one, so the pass reads the list once instead of once per identity.
+	rank, pos := 0, 0
+	for _, link := range node.cfg.pre.linksByID {
+		if !node.heard[link] {
+			continue
+		}
+		id := node.cfg.IDs[link]
+		rank += node.list.CountRange(pos+1, id-1)
+		set := node.list.Get(id)
 		var payload NewPayload
-		if node.list.Get(id) && !node.inDirty(id) {
-			payload.NewID = node.list.Rank(id) + 1
+		if set && !node.inDirty(id) {
+			payload.NewID = rank + 1
 		} else {
 			payload.Null = true
 		}
+		if set {
+			rank++
+		}
+		pos = id
 		buf = append(buf, codec.encodeNew(payload))
 		node.outBuf = append(node.outBuf, sim.Message{From: node.idx, To: link, Payload: &buf[len(buf)-1]})
 	}
@@ -537,22 +567,28 @@ func (node *ByzNode) inDirty(id int) bool {
 func (node *ByzNode) absorbNew(inbox []sim.Message) {
 	for _, msg := range inbox {
 		packed, ok := msg.Payload.(*PackedNew)
-		if !ok || !node.isMemberLink(msg.From) {
+		if !ok {
 			continue
 		}
-		if _, dup := node.newVotes[msg.From]; dup {
+		k := node.memberIndex(msg.From)
+		if k < 0 || node.newVotes[k].ok {
 			continue
 		}
-		var p NewPayload
-		newByzCodec(node.n, node.cfg.N).decodeNew(packed, &p)
-		node.newVotes[msg.From] = p
+		newByzCodec(node.n, node.cfg.N).decodeNew(packed, &node.newVotes[k].p)
+		node.newVotes[k].ok = true
+		node.votes++
 		node.votesDirty = true
 	}
 }
 
-func (node *ByzNode) isMemberLink(link int) bool {
+// memberIndex returns link's position in memberLinks, or -1 if link is
+// not a committee member.
+func (node *ByzNode) memberIndex(link int) int {
 	i := sort.SearchInts(node.memberLinks, link)
-	return i < len(node.memberLinks) && node.memberLinks[i] == link
+	if i < len(node.memberLinks) && node.memberLinks[i] == link {
+		return i
+	}
+	return -1
 }
 
 // tryDecide decides once a strong quorum of committee members responded:
@@ -572,20 +608,29 @@ func (node *ByzNode) tryDecide() {
 		return
 	}
 	t := (m+2)/3 - 1
-	if len(node.newVotes) < m-t {
+	if node.votes < m-t {
 		return
 	}
-	counts := make(map[int]int)
+	tally := node.tally[:0]
 	for _, v := range node.newVotes {
-		if !v.Null {
-			counts[v.NewID]++
+		if v.ok && !v.p.Null {
+			tally = append(tally, v.p.NewID)
 		}
 	}
+	slices.Sort(tally)
+	node.tally = tally
+	// Runs of equal values, ascending: taking only a strictly larger run
+	// breaks ties toward the smallest identity.
 	best, bestCount := 0, 0
-	for id, c := range counts {
-		if c > bestCount || (c == bestCount && id < best) {
-			best, bestCount = id, c
+	for i := 0; i < len(tally); {
+		j := i + 1
+		for j < len(tally) && tally[j] == tally[i] {
+			j++
 		}
+		if j-i > bestCount {
+			best, bestCount = tally[i], j-i
+		}
+		i = j
 	}
 	if bestCount == 0 {
 		return

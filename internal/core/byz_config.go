@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"renaming/internal/sharedrand"
 	"renaming/internal/sim"
@@ -69,11 +71,12 @@ type ByzConfig struct {
 }
 
 // byzPrecomputed is derived state shared by every node built from one
-// config, so an n-node network pays the O(N) pool derivation once
-// instead of n times.
+// config, so an n-node network pays the O(N) pool derivation and the
+// O(n log n) identity sort once instead of n times.
 type byzPrecomputed struct {
-	pool    []int
-	poolSet []bool // poolSet[id] reports id ∈ pool, sized N+1
+	pool      []int
+	poolSet   []bool // poolSet[id] reports id ∈ pool, sized N+1
+	linksByID []int  // every link, in ascending order of its identity
 }
 
 // Precompute returns a copy of cfg carrying the shared candidate pool
@@ -91,7 +94,12 @@ func (cfg ByzConfig) Precompute() ByzConfig {
 			poolSet[id] = true
 		}
 	}
-	cfg.pre = &byzPrecomputed{pool: pool, poolSet: poolSet}
+	linksByID := make([]int, len(cfg.IDs))
+	for link := range linksByID {
+		linksByID[link] = link
+	}
+	slices.SortFunc(linksByID, func(a, b int) int { return cmp.Compare(cfg.IDs[a], cfg.IDs[b]) })
+	cfg.pre = &byzPrecomputed{pool: pool, poolSet: poolSet, linksByID: linksByID}
 	return cfg
 }
 

@@ -94,6 +94,7 @@ func TestByzDirtyMembersAbstain(t *testing.T) {
 		for _, seg := range node.DirtySegments() {
 			dirtyCounts[seg.String()]++
 		}
+		checkDistribution(t, node)
 	}
 	for seg, count := range dirtyCounts {
 		if 2*count >= members {

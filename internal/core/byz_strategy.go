@@ -116,11 +116,11 @@ func (a *ByzAttacker) Output() (int, bool) { return 0, false }
 // can keep attacking) until then.
 func (a *ByzAttacker) Halted() bool { return true }
 
-// QuiescentAt implements sim.Quiescent for the silent behaviour only,
-// ignoring the round: a silent attacker returns nil at every round
-// without touching state or randomness. Every other behaviour acts (or
-// consumes randomness) even on an empty inbox, so it must be stepped.
-func (a *ByzAttacker) QuiescentAt(int) bool { return a.behavior == BehaviorSilent }
+// Idle implements sim.Quiescent for the silent behaviour only: a silent
+// attacker returns nil at every round without touching state or
+// randomness. Every other behaviour acts (or consumes randomness) even on
+// an empty inbox, so it must be stepped.
+func (a *ByzAttacker) Idle() bool { return a.behavior == BehaviorSilent }
 
 // Step implements sim.Node.
 func (a *ByzAttacker) Step(round int, inbox []sim.Message) sim.Outbox {

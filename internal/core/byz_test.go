@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
+	"renaming/internal/bitvec"
 	"renaming/internal/consensus"
+	"renaming/internal/interval"
 	"renaming/internal/sim"
 )
 
@@ -64,7 +67,7 @@ func (run *byzRun) execute(t *testing.T) {
 			node := run.honest[link]
 			if _, ok := node.Output(); !ok {
 				t.Logf("correct node %d undecided: phase committee=%d votes=%d",
-					link, node.CommitteeSize(), len(node.newVotes))
+					link, node.CommitteeSize(), node.votes)
 			}
 		}
 		t.Fatalf("run: %v (round %d)", err, run.nw.Round())
@@ -304,5 +307,120 @@ func TestByzSmallCommittee(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no seed produced a committee satisfying the assumption")
+	}
+}
+
+// checkDistribution re-runs a member's distribution from its current
+// state and checks every NEW against the naive rule: one message per
+// heard link, in ascending identity order, carrying Rank(id)+1 when the
+// link's identity is set in the list outside every dirty segment and a
+// null vote otherwise. It returns how many votes were clean and how many
+// null.
+func checkDistribution(t *testing.T, node *ByzNode) (clean, null int) {
+	t.Helper()
+	node.outBuf = node.outBuf[:0]
+	node.distribute()
+	heard := 0
+	for _, h := range node.heard {
+		if h {
+			heard++
+		}
+	}
+	if len(node.outBuf) != heard {
+		t.Fatalf("member %d sent %d NEW for %d heard identities", node.idx, len(node.outBuf), heard)
+	}
+	codec := newByzCodec(node.n, node.cfg.N)
+	prev := 0
+	for _, msg := range node.outBuf {
+		id := node.cfg.IDs[msg.To]
+		if id <= prev || !node.heard[msg.To] {
+			t.Fatalf("member %d: NEW for identity %d (link %d) after identity %d", node.idx, id, msg.To, prev)
+		}
+		prev = id
+		var got NewPayload
+		codec.decodeNew(msg.Payload.(*PackedNew), &got)
+		want := NewPayload{Null: true}
+		dirty := false
+		for _, seg := range node.dirty {
+			dirty = dirty || seg.ContainsValue(id)
+		}
+		if node.list.Get(id) && !dirty {
+			want = NewPayload{NewID: node.list.Rank(id) + 1}
+			clean++
+		} else {
+			null++
+		}
+		if got != want {
+			t.Fatalf("member %d: NEW for identity %d is %+v, want %+v", node.idx, id, got, want)
+		}
+	}
+	return clean, null
+}
+
+// TestByzDistributeVotes checks distribution on a hand-built member: a
+// clean identity gets Rank(id)+1, one inside a dirty segment or unset in
+// the agreed list gets a null vote.
+func TestByzDistributeVotes(t *testing.T) {
+	const n, bigN = 40, 300
+	cfg := byzConfig(n, bigN, 1, 0)
+	// Identities in descending link order, so ascending identity order
+	// is not link order.
+	slices.Reverse(cfg.IDs)
+	node := NewByzNode(cfg, 0)
+	node.list = bitvec.New(bigN)
+	node.heard = make([]bool, n)
+	for link, id := range cfg.IDs {
+		node.heard[link] = link%3 != 2
+		if link%5 != 4 {
+			node.list.Set(id) // every fifth identity is unset
+		}
+	}
+	for pos := 2; pos <= bigN; pos += 37 {
+		node.list.Set(pos) // ones no heard identity owns shift the ranks
+	}
+	node.dirty = []interval.Interval{interval.New(60, 95), interval.New(200, 231)}
+	clean, null := checkDistribution(t, node)
+	if clean == 0 || null == 0 {
+		t.Fatalf("fixture covers %d clean and %d null votes, want both", clean, null)
+	}
+}
+
+// TestByzTryDecideTally: the decision is the plurality non-null vote of a
+// strong quorum of distinct committee members. Ties go to the smallest
+// identity; a member's second vote and votes from non-members neither
+// count toward the quorum nor toward any value.
+func TestByzTryDecideTally(t *testing.T) {
+	cfg := byzConfig(16, 64, 1, 0)
+	codec := newByzCodec(16, 64)
+	members := []int{2, 5, 9, 11, 14} // quorum: 4 of 5
+	type vote struct{ from, id int }  // id 0 is a null vote
+	for _, tc := range []struct {
+		name    string
+		votes   []vote
+		decided bool
+		want    int
+	}{
+		{"tie to smallest", []vote{{2, 7}, {5, 4}, {9, 7}, {11, 4}, {14, 0}}, true, 4},
+		{"plurality", []vote{{2, 7}, {5, 4}, {9, 7}, {11, 7}, {14, 4}}, true, 7},
+		{"duplicate ignored", []vote{{2, 4}, {2, 7}, {5, 7}, {9, 4}, {11, 7}, {14, 0}}, true, 4},
+		{"non-member ignored", []vote{{3, 7}, {2, 4}, {5, 7}, {9, 4}, {11, 7}, {14, 0}}, true, 4},
+		{"below quorum", []vote{{2, 4}, {2, 4}, {3, 4}, {5, 4}, {9, 4}}, false, 0},
+		{"all null", []vote{{2, 0}, {5, 0}, {9, 0}, {11, 0}}, false, 0},
+	} {
+		node := NewByzNode(cfg, 0)
+		node.memberLinks = members
+		node.newVotes = make([]newVote, len(members))
+		packed := make([]PackedNew, len(tc.votes))
+		inbox := make([]sim.Message, len(tc.votes))
+		for i, v := range tc.votes {
+			packed[i] = codec.encodeNew(NewPayload{NewID: v.id, Null: v.id == 0})
+			inbox[i] = sim.Message{From: v.from, To: 0, Payload: &packed[i]}
+		}
+		node.absorbNew(inbox)
+		node.tryDecide()
+		got, ok := node.Output()
+		if ok != tc.decided || got != tc.want {
+			t.Errorf("%s: Output() = %d, %v; want %d, %v", tc.name, got, ok, tc.want, tc.decided)
+		}
 	}
 }

@@ -248,18 +248,14 @@ func (node *CrashNode) EverElected() bool { return node.everElected }
 // checks in tests.
 func (node *CrashNode) State() (interval.Interval, int, int) { return node.iv, node.d, node.p }
 
-// QuiescentAt implements sim.Quiescent: an empty inbox is a
-// pure no-op in the send-status round (nothing announced, nothing to
-// report) and in the committee round (no statuses to decide on), so the
-// engine may elide those Step calls for the ~n idle nodes each phase.
-// It is NOT a no-op at the start of a phase (round 3k): an empty inbox
-// there is the committee-wipe signal of Figure 3 lines 1–3, which
-// doubles p and draws re-election randomness, and elected nodes
-// broadcast their Notify announcement in that round regardless of the
-// inbox.
-func (node *CrashNode) QuiescentAt(round int) bool {
-	return node.halted || round%3 != 0
-}
+// Idle implements sim.Quiescent: only a halted node is idle. An empty
+// inbox is a no-op in the send-status and committee rounds, but not at
+// the start of a phase (round 3k): there it is the committee-wipe signal
+// of Figure 3 lines 1–3, which doubles p and draws re-election
+// randomness, and elected nodes broadcast their Notify announcement
+// regardless of the inbox. Idle vouches for every round, so a live node
+// is never idle.
+func (node *CrashNode) Idle() bool { return node.halted }
 
 // Step implements sim.Node.
 func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {

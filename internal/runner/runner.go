@@ -175,9 +175,15 @@ func Run(points []Point, opts Options) ([]Record, error) {
 		return records, nil
 	}
 
-	jobs := make(chan int)
-	stop := make(chan struct{})
-	done := make(chan int, len(points))
+	// The flush loop is the scheduler: it hands out one job per worker,
+	// then one more per completed point — after flushing whatever that
+	// completion made flushable — and none once a sink write failed. A
+	// failed sink means the artifact is already broken, so executing the
+	// remaining points would only burn time to produce records nobody can
+	// persist; in-flight points drain normally. At most workers jobs are
+	// ever outstanding, so the buffered sends never block.
+	jobs := make(chan int, workers)
+	done := make(chan int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -189,24 +195,10 @@ func Run(points []Point, opts Options) ([]Record, error) {
 			}
 		}()
 	}
-	go func() {
-		defer func() {
-			close(jobs)
-			wg.Wait()
-			close(done)
-		}()
-		for i := range points {
-			select {
-			case jobs <- i:
-			case <-stop:
-				// A sink failed: the artifact is already broken, so
-				// executing the remaining points would only burn time to
-				// produce records nobody can persist. Stop scheduling;
-				// in-flight points drain normally.
-				return
-			}
-		}
-	}()
+	next := 0
+	for ; next < workers; next++ {
+		jobs <- next
+	}
 
 	// Flush completed records to the sinks in point order, so the
 	// artifact layout never depends on scheduling. The first sink failure
@@ -215,18 +207,23 @@ func Run(points []Point, opts Options) ([]Record, error) {
 	var sinkErr error
 	ready := make([]bool, len(points))
 	flushed := 0
-	for idx := range done {
+	for completed := 0; completed < next; completed++ {
+		idx := <-done
 		ready[idx] = true
-		for flushed < len(points) && ready[flushed] {
-			if sinkErr == nil {
-				if err := writeSinks(opts.Sinks, records[flushed]); err != nil {
-					sinkErr = fmt.Errorf("runner: sink failed after %d records flushed: %w", flushed, err)
-					close(stop)
-				}
+		for sinkErr == nil && flushed < len(points) && ready[flushed] {
+			if err := writeSinks(opts.Sinks, records[flushed]); err != nil {
+				sinkErr = fmt.Errorf("runner: sink failed after %d records flushed: %w", flushed, err)
+				break
 			}
 			flushed++
 		}
+		if sinkErr == nil && next < len(points) {
+			jobs <- next
+			next++
+		}
 	}
+	close(jobs)
+	wg.Wait()
 	return records, sinkErr
 }
 

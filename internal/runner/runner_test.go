@@ -346,10 +346,11 @@ func TestSinkFailureStopsScheduling(t *testing.T) {
 	if !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("error does not wrap the sink failure: %v", err)
 	}
-	// Writes fail from record 3 on. By then the single worker has at most
-	// one further point in flight; everything beyond must never start.
-	if got := calls.Load(); got > failAt+2 {
-		t.Fatalf("executed %d of %d points after the sink failure, want scheduling stopped", got, total)
+	// Writes fail from record 3 on. The single worker gets the next point
+	// only after the previous one was flushed, so points 0..failAt run
+	// and nothing after the failed flush starts.
+	if got := calls.Load(); got != failAt+1 {
+		t.Fatalf("executed %d of %d points, want exactly %d: scheduling must stop at the failed flush", got, total, failAt+1)
 	}
 }
 

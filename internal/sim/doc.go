@@ -32,13 +32,15 @@
 // identify themselves by their own link index, and From is always the
 // true sender.
 //
-// Quiescence: a node implementing Quiescent vouches that, on rounds r
-// where QuiescentAt(r) holds and its inbox is empty, Step would send
-// nothing and change no state. The engine then skips the node entirely —
-// per-round work is proportional to acted senders and delivered
-// messages, not to n. The contract is one-sided: the engine may still
-// step a quiescent node (e.g. when it has mail), so the vouch must be
-// sound, not tight.
+// Quiescence: a node implementing Quiescent vouches, while Idle holds,
+// that Step with an empty inbox would send nothing and change no state,
+// at any round. The engine then skips the node entirely. Since only Step
+// changes state, an idle node stays idle until it gets mail, so a
+// coordinator-only round steps just the nodes stepped or mailed the
+// round before — per-round work is proportional to the nodes that act
+// and the messages delivered, not to n. The contract is one-sided: the
+// engine may still step an idle node (e.g. when it has mail), so the
+// vouch must be sound, not tight.
 //
 // Telemetry: WithRoundDigest is the one per-round traffic hook — totals
 // and per-kind counts, never the delivered messages themselves — and

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 )
 
@@ -94,7 +95,7 @@ type engine struct {
 	active   int
 	lastMsgs int64
 
-	// stepped lists the senders that acted this round, ascending, and
+	// stepped lists the nodes stepped this round, ascending, and
 	// prevStepped the round before — coordinator-only rounds use them to
 	// reset and walk only those entries instead of scanning all n nodes
 	// in every phase. Ascending order matters: scatter assigns inbox
@@ -102,7 +103,12 @@ type engine struct {
 	stepped     []int
 	prevStepped []int
 	mergeBuf    []int
-	prevFull    bool // last round ran parallel: acted/outs need a full reset
+	// prevFull forces the next coordinator-only round to step-scan all n
+	// nodes: set for the first round of a run, after a parallel round
+	// (stepped was not recorded, acted/outs need a full reset) and after
+	// a round that delivered shared aggregates (their recipients are not
+	// on recip). Otherwise the step phase walks prevStepped ∪ prevRecip.
+	prevFull bool
 
 	// Per-round state, all reused across rounds. The inbox tables hold
 	// views into the parity-alternating slabs; a view is only meaningful
@@ -122,7 +128,9 @@ type engine struct {
 	// recip lists the recipients with incoming traffic this round,
 	// discovery-ordered, and prevRecip the round before — the delivery
 	// analogue of stepped/prevStepped: coordinator-only rounds reset and
-	// walk only those counter cells instead of scanning all n recipients.
+	// walk only those counter cells instead of scanning all n recipients,
+	// and the sparse step walk sorts prevRecip in place to merge it with
+	// prevStepped.
 	recip      []int
 	prevRecip  []int
 	countsFull bool // last round ran parallel: counts[0] needs a full reset
@@ -601,10 +609,13 @@ func (e *engine) StepRound() {
 		fn()
 	}
 	if e.active == 1 {
-		// This round's acted senders (and traffic recipients) are the
-		// entries the next coordinator-only round must reset.
+		// This round's stepped nodes (and traffic recipients) are the
+		// entries the next coordinator-only round must reset, and the only
+		// nodes that can act in it — unless shared aggregates delivered
+		// mail to recipients the recip list does not name.
 		e.stepped, e.prevStepped = e.prevStepped[:0], e.stepped
 		e.recip, e.prevRecip = e.prevRecip[:0], e.recip
+		e.prevFull = e.aggActive
 	} else {
 		// A parallel round steps nodes (and dirties counters) without
 		// recording them; force the next coordinator-only round to do one
@@ -652,36 +663,56 @@ func (e *engine) emitDigest() {
 // phaseStep — wave 1: every non-rushing stepping node in the shard steps
 // against its inbox. Nodes only touch their own state, so shards are
 // independent; the engine does not retain the returned outbox past the
-// round, so nodes may reuse their outbox buffers.
+// round, so nodes may reuse their outbox buffers. A coordinator-only
+// round records the nodes it steps, ascending, so the count and scatter
+// phases walk just those, and takes the sparse walk whenever last
+// round's lists cover every node that can act.
 func (e *engine) phaseStep(lo, hi int) {
-	if e.active == 1 {
-		// Coordinator-only round: clear only last round's acted entries,
-		// then record this round's acted senders so the count and scatter
-		// phases can walk just those instead of scanning all n slots.
-		if e.prevFull {
-			for i := lo; i < hi; i++ {
-				e.outs[i] = nil
-				e.acted[i] = false
-			}
-			e.prevFull = false
-		} else {
-			for _, i := range e.prevStepped {
-				e.outs[i] = nil
-				e.acted[i] = false
-			}
-		}
+	coord := e.active == 1
+	if coord {
 		e.stepped = e.stepped[:0]
-		for i := lo; i < hi; i++ {
-			if e.stepNode(i) {
-				e.stepped = append(e.stepped, i)
-			}
+		if !e.prevFull && len(e.prevStepped)+len(e.prevRecip) < hi-lo {
+			e.stepWalk()
+			return
 		}
-		return
 	}
 	for i := lo; i < hi; i++ {
 		e.outs[i] = nil
 		e.acted[i] = false
-		e.stepNode(i)
+		if e.stepNode(i) && coord {
+			e.stepped = append(e.stepped, i)
+		}
+	}
+}
+
+// stepWalk is the coordinator-only step phase over prevStepped ∪
+// prevRecip. Only Step changes a node's state, so a node neither stepped
+// nor mailed last round was skipped as Idle (or is not stepping at all)
+// and still has an empty inbox: stepNode would skip it again. The walk
+// therefore makes exactly the Step calls of the full scan, at O(nodes
+// that act + recipients) cost. It merges the ascending prevStepped with
+// the recipients, sorted in place (phaseCount resets their counters in
+// any order), so stepped stays ascending.
+func (e *engine) stepWalk() {
+	for _, i := range e.prevStepped {
+		e.outs[i] = nil
+		e.acted[i] = false
+	}
+	slices.Sort(e.prevRecip)
+	a, b := e.prevStepped, e.prevRecip
+	for len(a) > 0 || len(b) > 0 {
+		var i int
+		switch {
+		case len(b) == 0 || (len(a) > 0 && a[0] < b[0]):
+			i, a = a[0], a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			i, b = b[0], b[1:]
+		default:
+			i, a, b = a[0], a[1:], b[1:]
+		}
+		if e.stepNode(i) {
+			e.stepped = append(e.stepped, i)
+		}
 	}
 }
 
@@ -689,14 +720,14 @@ func (e *engine) phaseStep(lo, hi int) {
 // it acted. A node with an empty inbox that vouches (Quiescent) that the
 // call would be a pure no-op is elided: observationally identical, and
 // acted stays false, which downstream phases treat as "empty outbox".
-// The vouch depends only on the node's own state and the round number,
-// so the decision is identical at every worker count.
+// The vouch depends only on the node's own state, so the decision is
+// identical at every worker count.
 func (e *engine) stepNode(i int) bool {
 	if e.rushing[i] || !e.shouldStep(i) {
 		return false
 	}
 	inb := e.inboxOf(i)
-	if len(inb) == 0 && e.quiet[i] != nil && e.quiet[i].QuiescentAt(e.round) {
+	if len(inb) == 0 && e.quiet[i] != nil && e.quiet[i].Idle() {
 		return false
 	}
 	e.acted[i] = true
@@ -711,37 +742,20 @@ func (e *engine) stepNode(i int) bool {
 // before the count phase — in ascending sender order, exactly as the
 // sequential engine made them.
 func (e *engine) stepRushers() {
-	n := len(e.nodes)
 	for k, v := range e.previews {
 		e.previews[k] = v[:0]
 	}
-	for i := 0; i < n; i++ {
-		if !e.acted[i] {
-			continue
+	if e.active == 1 {
+		// Coordinator-only round: wave 1's acted senders are exactly the
+		// stepped list, already ascending.
+		for _, i := range e.stepped {
+			e.previewSender(i)
 		}
-		filter := e.filters[i]
-		for _, msg := range e.outs[i] {
-			if msg.To < 0 {
-				// Shared multicast: the rushers that are members, visited
-				// ascending over rushList — the explicit Multicast's
-				// emission (and filter-call) order, at O(rushers·log|set|).
-				members := e.sets.membersOf(msg.To)
-				for _, r := range e.rushList {
-					if !containsMember(members, r) || (filter != nil && !filter(r)) {
-						continue
-					}
-					e.previews[r] = append(e.previews[r], Message{From: i, To: r, Payload: msg.Payload})
-				}
-				continue
+	} else {
+		for i, acted := range e.acted {
+			if acted {
+				e.previewSender(i)
 			}
-			if msg.To >= n || !e.rushing[msg.To] {
-				continue
-			}
-			if filter != nil && !filter(msg.To) {
-				continue
-			}
-			msg.From = i
-			e.previews[msg.To] = append(e.previews[msg.To], msg)
 		}
 	}
 	for _, r := range e.rushList {
@@ -777,6 +791,36 @@ func (e *engine) stepRushers() {
 		}
 		e.mergeBuf = append(e.mergeBuf, s[j:]...)
 		e.stepped, e.mergeBuf = e.mergeBuf, e.stepped
+	}
+}
+
+// previewSender appends acted sender i's messages to rushing recipients
+// onto their previews, in emission order.
+func (e *engine) previewSender(i int) {
+	n := len(e.nodes)
+	filter := e.filters[i]
+	for _, msg := range e.outs[i] {
+		if msg.To < 0 {
+			// Shared multicast: the rushers that are members, visited
+			// ascending over rushList — the explicit Multicast's emission
+			// (and filter-call) order, at O(rushers·log|set|).
+			members := e.sets.membersOf(msg.To)
+			for _, r := range e.rushList {
+				if !containsMember(members, r) || (filter != nil && !filter(r)) {
+					continue
+				}
+				e.previews[r] = append(e.previews[r], Message{From: i, To: r, Payload: msg.Payload})
+			}
+			continue
+		}
+		if msg.To >= n || !e.rushing[msg.To] {
+			continue
+		}
+		if filter != nil && !filter(msg.To) {
+			continue
+		}
+		msg.From = i
+		e.previews[msg.To] = append(e.previews[msg.To], msg)
 	}
 }
 

@@ -197,3 +197,121 @@ func TestInvalidLinkPanicsParallel(t *testing.T) {
 	}()
 	nw.StepRound()
 }
+
+// countingNode counts every Idle and Step call into a shared counter.
+// A node with a partner ping-pongs with it: the starter sends in round 0,
+// and each side answers every message it receives. Everyone else only
+// ever answers mail, and gets none.
+type countingNode struct {
+	calls   *int
+	partner int
+	starter bool
+	started bool
+}
+
+func (c *countingNode) Idle() bool {
+	*c.calls++
+	return !c.starter || c.started
+}
+
+func (c *countingNode) Step(round int, inbox []Message) Outbox {
+	*c.calls++
+	if c.starter && !c.started {
+		c.started = true
+		return Outbox{{To: c.partner, Payload: pingPayload{size: 1}}}
+	}
+	if len(inbox) > 0 {
+		return Outbox{{To: c.partner, Payload: pingPayload{size: 1}}}
+	}
+	return nil
+}
+func (c *countingNode) Output() (int, bool) { return 0, false }
+func (c *countingNode) Halted() bool        { return false }
+
+// TestSparseRoundWorkFlatInN pins the sparse step walk: with four nodes
+// ping-ponging and everyone else idle, the Idle and Step calls of a
+// coordinator-only round count only the nodes stepped or mailed the
+// round before, so from round 2 on they are the same at n = 256 and at
+// n = 4096.
+func TestSparseRoundWorkFlatInN(t *testing.T) {
+	perRound := func(n int) []int {
+		calls := 0
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = &countingNode{calls: &calls, partner: -1}
+		}
+		for _, pair := range [][2]int{{1, n / 2}, {n - 1, 7}} {
+			nodes[pair[0]] = &countingNode{calls: &calls, partner: pair[1], starter: true}
+			nodes[pair[1]] = &countingNode{calls: &calls, partner: pair[0]}
+		}
+		nw := NewNetwork(nodes, WithEngineWorkers(1))
+		defer nw.Close()
+		var counts []int
+		for r := 0; r < 12; r++ {
+			calls = 0
+			nw.StepRound()
+			counts = append(counts, calls)
+		}
+		if got := nw.Metrics().Messages; got != 24 {
+			t.Fatalf("n=%d: %d messages, want 24 (two pairs, one message each per round)", n, got)
+		}
+		return counts
+	}
+	small, large := perRound(256), perRound(4096)
+	for r := 2; r < len(small); r++ {
+		if small[r] != large[r] {
+			t.Fatalf("round %d: %d Idle+Step calls at n=256, %d at n=4096 (per round: %v vs %v)", r, small[r], large[r], small, large)
+		}
+	}
+}
+
+// replyNode is idle until mailed and then answers the first sender of
+// its inbox; with at >= 0 it instead broadcasts once, at round at, and
+// ignores its mail.
+type replyNode struct {
+	at   int
+	sent bool
+}
+
+func (m *replyNode) Idle() bool { return m.at < 0 || m.sent }
+
+func (m *replyNode) Step(round int, inbox []Message) Outbox {
+	if m.at >= 0 {
+		if m.sent || round < m.at {
+			return nil
+		}
+		m.sent = true
+		return Outbox{{To: ToAll, Payload: pingPayload{size: 1}}}
+	}
+	if len(inbox) > 0 {
+		return Outbox{{To: inbox[0].From, Payload: pingPayload{size: 1}}}
+	}
+	return nil
+}
+func (m *replyNode) Output() (int, bool) { return 0, false }
+func (m *replyNode) Halted() bool        { return false }
+
+// TestSparseWalkStepsSharedRecipients: a shared broadcast reaches idle
+// nodes through the aggregate path, which the recipient list does not
+// record, so the round after it must step every node. All n-1 idle
+// nodes answer the broadcast, at every worker count.
+func TestSparseWalkStepsSharedRecipients(t *testing.T) {
+	const n, at = 64, 3
+	for _, workers := range []int{1, 8} {
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = &replyNode{at: -1}
+		}
+		nodes[5] = &replyNode{at: at}
+		nw := NewNetwork(nodes, WithEngineWorkers(workers))
+		for r := 0; r < at+4; r++ {
+			nw.StepRound()
+		}
+		nw.Close()
+		m := nw.Metrics()
+		if m.Messages != 2*n-1 || m.PerNodeReceived[5] != n {
+			t.Fatalf("workers=%d: %d messages, broadcaster received %d; want %d and %d",
+				workers, m.Messages, m.PerNodeReceived[5], 2*n-1, n)
+		}
+	}
+}

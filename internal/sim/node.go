@@ -29,26 +29,27 @@ type Node interface {
 	Halted() bool
 }
 
-// Quiescent is an optional Node extension for large sweeps.
-// QuiescentAt(round) reports that, in the node's *current* state, a Step
-// call at exactly that round with an EMPTY inbox would be a pure no-op —
-// no state change, no output, no randomness consumed — and the engine
-// then elides the call entirely (it asks with the round it is about to
-// execute). Eliding such a call is observationally identical to making
-// it (it could only have returned an empty outbox), so telemetry is
-// bit-identical; the interface merely lets a node vouch for that, since
-// the engine cannot prove it.
+// Quiescent is an optional Node extension for large sweeps. Idle
+// reports that, in the node's *current* state, every Step call with an
+// EMPTY inbox would be a pure no-op — no state change, no output, no
+// randomness consumed — at any round, until the node is next stepped.
+// The engine then elides such calls entirely. Eliding them is
+// observationally identical to making them (they could only have
+// returned an empty outbox), so telemetry is bit-identical; the
+// interface merely lets a node vouch for that, since the engine cannot
+// prove it.
 //
-// The round argument serves protocols built on a fixed round schedule,
-// where whether an empty inbox is meaningful depends on the position in
-// the schedule. The crash-renaming node is the motivating case: an empty
-// inbox in a send-status or committee round is provably a no-op, but an
-// empty inbox at the start of a phase is the committee-wipe signal that
-// doubles the re-election probability — a state change plus a random
-// draw, which must never be elided. Nodes whose quiescence does not
-// depend on the schedule simply ignore round. Nodes whose idle rounds
-// have side effects (round counters, timers, randomness) must not
+// The vouch is about state only. Since only Step changes a node's
+// state, an idle node stays idle until it next receives mail, and the
+// engine relies on that: a sparse round steps just the nodes that were
+// stepped or sent mail the round before. A node whose empty-inbox Step
+// means something at some position of a round schedule must therefore
+// not report idle in that state. The crash-renaming node is the case in
+// point: an empty inbox at the start of a phase is the committee-wipe
+// signal that doubles the re-election probability — a state change plus
+// a random draw — so it reports idle only once halted. Nodes whose idle
+// rounds have side effects (round counters, timers, randomness) must not
 // implement Quiescent, or must return false in those states.
 type Quiescent interface {
-	QuiescentAt(round int) bool
+	Idle() bool
 }
