@@ -13,6 +13,7 @@ ci:
 	if command -v staticcheck >/dev/null; then staticcheck ./...; else echo "staticcheck not installed, skipping"; fi
 	$(GO) build ./...
 	$(GO) test ./... -short -race
+	$(GO) test -run 'TestAllQuick$$' ./internal/experiments
 	$(GO) test -race -count=200 -run 'TestSinkFailureStopsScheduling$$' ./internal/runner
 	$(GO) test -run '^$$' -bench StepRound -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench ByzStepRound -benchtime 1x .
@@ -54,12 +55,13 @@ race:
 cover:
 	$(GO) test -short -cover ./...
 
-# Full benchmark sweep. The raw text passes through unchanged; every
-# Byzantine-path benchmark additionally lands in BENCH_byz.json, every
-# crash-path benchmark in BENCH_crash.json, and the churn-service
-# benchmarks in BENCH_churn.json, the structured before/after ledgers
-# (cmd/benchjson chains: each stage records its matches and passes the
-# text through).
+# Per-layer benchmark sweep (whole runs are timed by bench/). The raw
+# text passes through unchanged; the protocol-round and whole-run memory
+# rows additionally land in the structured before/after ledgers:
+# ByzStepRound and ByzMemoryFootprint in BENCH_byz.json, CrashStepRound
+# and CrashMemoryFootprint in BENCH_crash.json, ChurnEpoch in
+# BENCH_churn.json (cmd/benchjson chains: each stage records its matches
+# and passes the text through).
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./... \
 		| $(GO) run ./cmd/benchjson -match Byz -out BENCH_byz.json \

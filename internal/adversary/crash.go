@@ -81,16 +81,15 @@ func (a *BurstCrash) Crashes(view sim.View) []sim.CrashOrder {
 }
 
 // CommitteeKiller is the paper's worst-case adaptive strategy: every
-// Interval rounds it inspects node state through the Peek hook and
-// crashes every current committee member, up to its budget. This forces
-// the protocol through its committee re-election path and makes the
-// message complexity scale with f. With MidSend set, half of a victim's
-// final messages still leak out, maximizing response inconsistency.
+// round it inspects node state through the Peek hook and crashes every
+// current committee member, up to its budget. This forces the protocol
+// through its committee re-election path and makes the message
+// complexity scale with f. With MidSend set, half of a victim's final
+// messages still leak out, maximizing response inconsistency.
 type CommitteeKiller struct {
-	Budget   int
-	Interval int // kill every Interval-th round; 0 means every round
-	MidSend  bool
-	Rand     *rand.Rand
+	Budget  int
+	MidSend bool
+	Rand    *rand.Rand
 
 	used int
 }
@@ -100,9 +99,6 @@ var _ sim.CrashAdversary = (*CommitteeKiller)(nil)
 // Crashes implements sim.CrashAdversary.
 func (a *CommitteeKiller) Crashes(view sim.View) []sim.CrashOrder {
 	if view.Peek == nil {
-		return nil
-	}
-	if a.Interval > 1 && view.Round%a.Interval != a.Interval-1 {
 		return nil
 	}
 	var orders []sim.CrashOrder

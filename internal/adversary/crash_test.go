@@ -84,17 +84,6 @@ func TestCommitteeKillerTargetsCommittee(t *testing.T) {
 	}
 }
 
-func TestCommitteeKillerInterval(t *testing.T) {
-	committee := map[int]bool{0: true, 1: true, 2: true, 3: true}
-	adv := &CommitteeKiller{Budget: 100, Interval: 3, Rand: rand.New(rand.NewSource(4))}
-	if got := adv.Crashes(viewFor(4, 0, committee)); len(got) != 0 {
-		t.Fatal("fired off-cadence")
-	}
-	if got := adv.Crashes(viewFor(4, 2, committee)); len(got) != 4 {
-		t.Fatalf("killed %d at the cadence round", len(got))
-	}
-}
-
 func TestCommitteeKillerNeedsPeek(t *testing.T) {
 	adv := &CommitteeKiller{Budget: 10, Rand: rand.New(rand.NewSource(5))}
 	view := viewFor(5, 0, map[int]bool{0: true})

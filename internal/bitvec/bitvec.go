@@ -88,39 +88,6 @@ func (v *Vector) Rank(pos int) int {
 	return v.CountRange(1, pos-1)
 }
 
-// Ones returns the positions of all ones in ascending order.
-func (v *Vector) Ones() []int {
-	out := make([]int, 0, v.Count())
-	for i, w := range v.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, i*64+b+1)
-			w &= w - 1
-		}
-	}
-	return out
-}
-
-// OnesRange returns the positions of ones within [lo, hi] in ascending order.
-func (v *Vector) OnesRange(lo, hi int) []int {
-	if lo > hi {
-		return nil
-	}
-	v.check(lo)
-	v.check(hi)
-	out := []int{}
-	for _, pos := range v.Ones() {
-		if pos < lo {
-			continue
-		}
-		if pos > hi {
-			break
-		}
-		out = append(out, pos)
-	}
-	return out
-}
-
 // SegmentWords returns the bits of positions [lo, hi] packed little-endian
 // into fresh words, normalized so that equal segments at different offsets
 // produce equal word slices — the input the fingerprint hash consumes.
@@ -173,27 +140,6 @@ func (v *Vector) ReplaceRange(lo, hi, ones int) {
 			v.Clear(pos)
 		}
 	}
-}
-
-// EqualRange reports whether v and other agree on every position of
-// [lo, hi]. Both vectors must have the same length.
-func (v *Vector) EqualRange(other *Vector, lo, hi int) bool {
-	if v.n != other.n {
-		panic("bitvec: EqualRange on vectors of different length")
-	}
-	for pos := lo; pos <= hi; pos++ {
-		if v.Get(pos) != other.Get(pos) {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	out := New(v.n)
-	copy(out.words, v.words)
-	return out
 }
 
 func maskRange(lo, hi uint) uint64 {

@@ -39,20 +39,6 @@ func TestRankAndOnes(t *testing.T) {
 			t.Errorf("Rank(%d) = %d, want %d", c.pos, got, c.rank)
 		}
 	}
-	ones := v.Ones()
-	want := []int{3, 10, 50, 99}
-	if len(ones) != len(want) {
-		t.Fatalf("Ones = %v", ones)
-	}
-	for i := range want {
-		if ones[i] != want[i] {
-			t.Fatalf("Ones = %v", ones)
-		}
-	}
-	or := v.OnesRange(10, 50)
-	if len(or) != 2 || or[0] != 10 || or[1] != 50 {
-		t.Fatalf("OnesRange = %v", or)
-	}
 }
 
 func TestCountRangeAgainstNaive(t *testing.T) {
@@ -150,23 +136,6 @@ func TestReplaceRange(t *testing.T) {
 	// Bits outside the range untouched.
 	if !v.Get(9) || !v.Get(31) {
 		t.Fatal("neighbours clobbered")
-	}
-}
-
-func TestEqualRangeAndClone(t *testing.T) {
-	a := New(80)
-	a.Set(7)
-	a.Set(64)
-	b := a.Clone()
-	if !a.EqualRange(b, 1, 80) {
-		t.Fatal("clone differs")
-	}
-	b.Set(40)
-	if a.EqualRange(b, 1, 80) {
-		t.Fatal("EqualRange missed a difference")
-	}
-	if a.EqualRange(b, 41, 80) != true {
-		t.Fatal("EqualRange range restriction broken")
 	}
 }
 

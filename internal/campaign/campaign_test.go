@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"renaming/internal/runner"
@@ -33,6 +35,24 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if !bytes.Equal(one, eight) {
 		t.Fatalf("JSONL differs between workers=1 (%d bytes) and workers=8 (%d bytes)", len(one), len(eight))
 	}
+	if got := jsonlDigest(one); got != crashCampaignDigest {
+		t.Errorf("campaign JSONL digest %s, want %s", got, crashCampaignDigest)
+	}
+}
+
+// crashCampaignDigest and serviceCampaignDigest pin the SHA-256 of the
+// JSONL (volatile fields omitted) of the two workers-determinism
+// campaigns. Update them only for a deliberate change of a generator,
+// the oracle or a protocol, never for a refactor or a performance
+// change.
+const (
+	crashCampaignDigest   = "953dc3c0e390e4694f00c2e753645e62d3d3bc47a4fe3f857254ee47b41d3012"
+	serviceCampaignDigest = "8c2a15b655ecd8732b07c09e27ffc60d579bffd380cfb8016cce3df0ac2f19bd"
+)
+
+func jsonlDigest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestCampaignCrashNoViolations: the paper's crash algorithm must

@@ -147,6 +147,9 @@ func TestServiceCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if !bytes.Equal(one, eight) {
 		t.Fatal("service campaign JSONL differs between 1 and 8 workers")
 	}
+	if got := jsonlDigest(one); got != serviceCampaignDigest {
+		t.Errorf("service campaign JSONL digest %s, want %s", got, serviceCampaignDigest)
+	}
 }
 
 func TestSpecRejectsMismatchedChurnPairing(t *testing.T) {

@@ -86,7 +86,8 @@ type Expectation struct {
 	// MessageCeiling bounds honest messages; 0 disables.
 	MessageCeiling int64
 	// CheckMessageFloor enables the Theorem 1.4 Ω(n) check: honest
-	// messages ≥ number of surviving correct nodes.
+	// messages ≥ number of surviving correct nodes, once at least two
+	// survive (a lone correct node renames itself without a message).
 	CheckMessageFloor bool
 	// IterationCeiling bounds the Byzantine divide-and-conquer
 	// iterations (Lemma 3.10); 0 disables.
@@ -273,7 +274,7 @@ func (o Oracle) Check(n int, ids []int, res *renaming.Result) []Violation {
 	}
 	if o.Expect.CheckMessageFloor {
 		floor := int64(n - res.Crashes - res.Byzantine)
-		if res.HonestMessages < floor {
+		if floor >= 2 && res.HonestMessages < floor {
 			add(InvMessageFloor, "honest messages %d below the Ω(n) floor %d (Theorem 1.4)", res.HonestMessages, floor)
 		}
 	}

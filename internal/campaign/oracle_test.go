@@ -112,6 +112,32 @@ func TestOracleDetectsCeilingsAndFloor(t *testing.T) {
 	}
 }
 
+// TestOracleMessageFloorNeedsTwoCorrectNodes: the Ω(n) floor is about
+// correct nodes telling each other apart, so a lone correct survivor
+// that renames itself silently is not a violation, while two correct
+// nodes that exchange nothing still are.
+func TestOracleMessageFloorNeedsTwoCorrectNodes(t *testing.T) {
+	silent := func(r *renaming.Result) { r.HonestMessages = 0 }
+	cases := []struct {
+		name    string
+		n       int
+		ids     []int
+		res     *renaming.Result
+		flagged bool
+	}{
+		{"lone node", 1, []int{7}, res([]int{1}, silent), false},
+		{"one survivor of two", 2, []int{7, 9},
+			res([]int{1, -1}, silent, func(r *renaming.Result) { r.Crashes = 1 }), false},
+		{"two correct nodes", 2, []int{7, 9}, res([]int{1, 2}, silent), true},
+	}
+	for _, tc := range cases {
+		o := Oracle{Expect: CrashExpectation(tc.n)}
+		if got := invariants(o.Check(tc.n, tc.ids, tc.res))[InvMessageFloor]; got != tc.flagged {
+			t.Errorf("%s: message-floor flagged = %v, want %v", tc.name, got, tc.flagged)
+		}
+	}
+}
+
 func TestOracleDetectsIterationCeiling(t *testing.T) {
 	o := Oracle{Expect: ByzantineExpectation(64, 2)}
 	over := res([]int{1, 2, 3, 4}, func(r *renaming.Result) {

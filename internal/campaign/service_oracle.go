@@ -145,6 +145,3 @@ func (o *ServiceOracle) CheckEpoch(er *service.EpochResult) []Violation {
 	}
 	return out
 }
-
-// LiveNames returns the shadow table's live name count (test hook).
-func (o *ServiceOracle) LiveNames() int { return len(o.owner) }

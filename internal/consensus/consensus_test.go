@@ -230,45 +230,47 @@ func TestValidatorWeakAgreement(t *testing.T) {
 }
 
 func TestExchangeCollectsOncePerSender(t *testing.T) {
-	members, correct, byzantine := buildCommittee(6, 2)
+	// A sparse committee: Byzantine member 8 sends a zero and then a
+	// one, Byzantine member 10 stays silent, and non-members 9 (sorting
+	// into 10's empty slot) and 99 send ones.
+	members, correct := []int{0, 2, 4, 6, 8, 10}, []int{0, 2, 4, 6}
 	machines := make(map[int]Machine)
 	exs := make(map[int]*Exchange)
+	wantZeros, wantOnes := 1, 0 // member 8's first vote
 	for _, self := range correct {
-		ex := NewExchange(self, members, Value{Lo: uint64(self)})
+		bit := self%4 == 2
+		if bit {
+			wantOnes++
+		} else {
+			wantZeros++
+		}
+		ex := NewExchange(self, members, Bit(bit))
 		machines[self] = ex
 		exs[self] = ex
 	}
 	inject := func(round int) []Msg {
 		var out []Msg
-		for _, from := range byzantine {
-			for _, to := range members {
-				// Duplicate spam: only the first per sender may count.
-				out = append(out, Msg{From: from, To: to, Val: Value{Lo: 100}})
-				out = append(out, Msg{From: from, To: to, Val: Value{Lo: 200}})
-			}
+		for _, to := range members {
+			// Duplicate spam: only the first per sender may count.
+			out = append(out, Msg{From: 8, To: to, Val: Value{}})
+			out = append(out, Msg{From: 8, To: to, Val: Value{Lo: 200}})
+			// Non-member spam must be ignored entirely.
+			out = append(out, Msg{From: 9, To: to, Val: Value{Lo: 999}})
+			out = append(out, Msg{From: 99, To: to, Val: Value{Lo: 999}})
 		}
-		// Non-member spam must be ignored entirely.
-		out = append(out, Msg{From: 99, To: 0, Val: Value{Lo: 999}})
 		return out
+	}
+	if z, o := exs[correct[0]].CountBits(); z != 0 || o != 0 {
+		t.Fatalf("tally before Done = %d zeros, %d ones", z, o)
 	}
 	if !newDriver(machines, inject).run(5) {
 		t.Fatal("did not terminate")
 	}
 	for self, ex := range exs {
-		votes := ex.Votes()
-		for _, other := range correct {
-			v, ok := votes[other]
-			if !ok || v.Lo != uint64(other) {
-				t.Fatalf("member %d: missing/wrong vote from %d: %+v", self, other, votes)
-			}
-		}
-		if _, ok := votes[99]; ok {
-			t.Fatalf("member %d accepted non-member vote", self)
-		}
-		for _, from := range byzantine {
-			if v, ok := votes[from]; ok && v.Lo != 100 {
-				t.Fatalf("member %d kept non-first duplicate from %d", self, from)
-			}
+		// A missing or wrong correct vote, a kept later duplicate or a
+		// counted non-member each moves one of the two counts.
+		if z, o := ex.CountBits(); z != wantZeros || o != wantOnes {
+			t.Fatalf("member %d: %d zeros, %d ones; want %d, %d", self, z, o, wantZeros, wantOnes)
 		}
 	}
 }

@@ -5,12 +5,11 @@ package consensus
 // the committee and collects everybody else's. It takes two synchronous
 // rounds (send, then receive).
 type Exchange struct {
-	self    int
-	members []int
-	val     Value
+	self int
+	val  Value
 
 	round int
-	votes map[int]Value
+	votes voteSet // members' values, at most one per member
 	done  bool
 }
 
@@ -19,7 +18,9 @@ var _ Machine = (*Exchange)(nil)
 // NewExchange creates an exchange instance for the member at link index
 // self broadcasting val to the given committee view.
 func NewExchange(self int, members []int, val Value) *Exchange {
-	return &Exchange{self: self, members: sortedMembers(members), val: val}
+	ex := &Exchange{self: self, val: val}
+	ex.votes.init(sortedMembers(members))
+	return ex
 }
 
 // ExchangeRounds is the number of synchronous rounds an Exchange needs.
@@ -28,14 +29,14 @@ const ExchangeRounds = 2
 // Done reports whether the collection finished.
 func (ex *Exchange) Done() bool { return ex.done }
 
-// Votes returns the collected values per member link, valid once Done.
-// At most one value per committee member is kept; non-members are
-// ignored.
-func (ex *Exchange) Votes() map[int]Value {
+// CountBits returns how many of the collected values are zero and how
+// many are nonzero (AsBit), valid once Done; both are 0 before. Only
+// the first value per committee member counts; non-members are ignored.
+func (ex *Exchange) CountBits() (zeros, ones int) {
 	if !ex.done {
-		return nil
+		return 0, 0
 	}
-	return ex.votes
+	return ex.votes.countBits()
 }
 
 // Step implements Machine.
@@ -45,13 +46,13 @@ func (ex *Exchange) Step(in []Msg) []Msg {
 	}
 	if ex.round == 0 {
 		ex.round = 1
-		out := make([]Msg, 0, len(ex.members))
-		for _, to := range ex.members {
+		out := make([]Msg, 0, len(ex.votes.members))
+		for _, to := range ex.votes.members {
 			out = append(out, Msg{From: ex.self, To: to, Val: ex.val})
 		}
 		return out
 	}
-	ex.votes = collectInto(nil, in, ex.members)
+	ex.votes.collect(in)
 	ex.done = true
 	return nil
 }

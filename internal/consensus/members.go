@@ -15,12 +15,6 @@ func sortedMembers(members []int) []int {
 	return sorted
 }
 
-// memberOf reports whether link occurs in the sorted members slice.
-func memberOf(sorted []int, link int) bool {
-	i := sort.SearchInts(sorted, link)
-	return i < len(sorted) && sorted[i] == link
-}
-
 // voteSet collects at most one vote per committee member without a map:
 // a vote lands at the sender's position in the sorted member list, and an
 // epoch stamp marks which entries belong to the current collection, so
@@ -40,7 +34,7 @@ func (vs *voteSet) init(members []int) {
 
 // collect starts a fresh tally from the round's inbox, keeping the first
 // message per member and ignoring senders outside the view (a Byzantine
-// non-member cannot vote) — the same filter collectInto applies.
+// non-member cannot vote).
 func (vs *voteSet) collect(in []Msg) {
 	vs.epoch++
 	for _, m := range in {
@@ -72,9 +66,8 @@ func (vs *voteSet) countBits() (zeros, ones int) {
 }
 
 // countVotes returns the most frequent vote (ties broken by Less), its
-// multiplicity, and the total number of votes — the same verdict
-// countVotes computes for a map, via O(m²) pairwise comparison instead
-// of a hash map, which wins for committee-sized m.
+// multiplicity, and the total number of votes, via O(m²) pairwise
+// comparison instead of a hash map, which wins for committee-sized m.
 func (vs *voteSet) countVotes() (best Value, bestCount, total int) {
 	first := true
 	for i := range vs.members {

@@ -27,19 +27,30 @@ func TestSortedMembersSortsCopy(t *testing.T) {
 	}
 }
 
+// TestMemberOf: a tally records exactly the senders in the member view,
+// each at its own position, and ignores links below, between and above
+// the members.
 func TestMemberOf(t *testing.T) {
 	members := []int{2, 5, 7}
-	for _, link := range members {
-		if !memberOf(members, link) {
-			t.Fatalf("memberOf(%d) = false", link)
+	var in []Msg
+	for _, link := range []int{-1, 0, 2, 3, 5, 6, 7, 8, 100} {
+		in = append(in, Msg{From: link, Val: Value{Lo: uint64(link)}})
+	}
+	var vs voteSet
+	vs.init(members)
+	vs.collect(in)
+	for i, link := range members {
+		if vs.stamp[i] != vs.epoch || vs.vals[i] != (Value{Lo: uint64(link)}) {
+			t.Fatalf("member %d: recorded %v (stamped %v)", link, vs.vals[i], vs.stamp[i] == vs.epoch)
 		}
 	}
-	for _, link := range []int{-1, 0, 3, 6, 8, 100} {
-		if memberOf(members, link) {
-			t.Fatalf("memberOf(%d) = true", link)
-		}
+	if _, _, total := vs.countVotes(); total != len(members) {
+		t.Fatalf("tally counted %d senders, want %d", total, len(members))
 	}
-	if memberOf(nil, 0) {
-		t.Fatal("memberOf on empty slice")
+	var empty voteSet
+	empty.init(nil)
+	empty.collect(in)
+	if _, _, total := empty.countVotes(); total != 0 {
+		t.Fatalf("empty view counted %d senders", total)
 	}
 }

@@ -150,29 +150,6 @@ func (pk *PhaseKing) broadcast(v Value) []Msg {
 	return out
 }
 
-// collectInto keeps at most one vote per committee member, ignoring
-// messages from outside the view (a Byzantine non-member cannot vote).
-// votes is cleared and reused (allocated when nil), so a long-lived
-// machine tallies every phase into one scratch map instead of a fresh
-// allocation; membership is a binary search on the sorted member list.
-func collectInto(votes map[int]Value, in []Msg, members []int) map[int]Value {
-	if votes == nil {
-		votes = make(map[int]Value, len(members))
-	} else {
-		clear(votes)
-	}
-	for _, m := range in {
-		if !memberOf(members, m.From) {
-			continue
-		}
-		if _, dup := votes[m.From]; dup {
-			continue // first message per sender counts
-		}
-		votes[m.From] = m.Val
-	}
-	return votes
-}
-
 // normalizeBit maps any value a Byzantine king may send onto {0,1} so the
 // decision stays within the binary domain (validity requires outputs to
 // be some correct input only when correct inputs are unanimous; the

@@ -75,19 +75,3 @@ type Machine interface {
 func byzThreshold(m int) int {
 	return (m+2)/3 - 1
 }
-
-func countVotes(votes map[int]Value) (best Value, bestCount, total int) {
-	counts := make(map[Value]int, len(votes))
-	for _, v := range votes {
-		counts[v]++
-	}
-	first := true
-	for v, c := range counts {
-		total += c
-		if first || c > bestCount || (c == bestCount && Less(v, best)) {
-			best, bestCount = v, c
-			first = false
-		}
-	}
-	return best, bestCount, total
-}

@@ -428,13 +428,7 @@ func (node *ByzNode) advance() {
 		node.wrapSub(node.machine.Step(nil))
 
 	case stageDiffExchange:
-		ex := node.machine.(*consensus.Exchange)
-		reports := 0
-		for _, v := range ex.Votes() {
-			if v.AsBit() {
-				reports++
-			}
-		}
+		_, reports := node.machine.(*consensus.Exchange).CountBits()
 		diffPrime := node.diffBit
 		if reports >= node.diffThreshold() {
 			diffPrime = true

@@ -35,6 +35,12 @@ const (
 // public is the point: no shared randomness is consumed.
 const sortitionSalt = 0x736f7274697469 // "sortiti"
 
+// epsilon is the paper's ε₀ (resilience margin): the Byzantine bound is
+// f < (1/3 − ε₀)·n, and ε₀ enters the paper's pool probability p₀. The
+// constant is typed so that every expression over it rounds to float64
+// step by step, exactly like run-time arithmetic.
+const epsilon float64 = 0.1
+
 // ByzConfig parameterizes the Byzantine-resilient renaming algorithm.
 type ByzConfig struct {
 	// N is the size of the original namespace [N].
@@ -45,14 +51,13 @@ type ByzConfig struct {
 	// the shared-randomness beacon; Byzantine nodes see the beacon too,
 	// exactly as in the paper (shared random bits are public).
 	Seed int64
-	// Epsilon is the paper's ε₀ (resilience margin); the Byzantine bound
-	// is f < (1/3 − ε₀)·n. Defaults to 0.1 when zero.
-	Epsilon float64
 	// PoolProb overrides the paper's p₀ = 8·log n/((1−3ε₀)·ε₀²·n) for
 	// the candidate-pool sampling over [N]. The paper's constant exceeds
 	// 1 at laptop scale, making everybody a committee member; scaling it
 	// down lets experiments exercise small committees. 0 keeps the
-	// paper's formula (clamped to 1).
+	// paper's formula (clamped to 1). Values above 1 clamp to 1, since
+	// the 20/n-style pools callers pass exceed 1 at small n; negative
+	// and NaN values are errors.
 	PoolProb float64
 	// Election selects the committee-election mechanism (shared-
 	// randomness pool by default, public-hash sortition as the
@@ -103,13 +108,6 @@ func (cfg ByzConfig) Precompute() ByzConfig {
 	return cfg
 }
 
-func (cfg ByzConfig) eps() float64 {
-	if cfg.Epsilon <= 0 || cfg.Epsilon >= 1.0/3 {
-		return 0.1
-	}
-	return cfg.Epsilon
-}
-
 // poolProb returns the probability with which each identity of [N] joins
 // the shared candidate pool.
 func (cfg ByzConfig) poolProb() float64 {
@@ -117,8 +115,7 @@ func (cfg ByzConfig) poolProb() float64 {
 		return math.Min(1, cfg.PoolProb)
 	}
 	n := float64(len(cfg.IDs))
-	eps := cfg.eps()
-	p := 8 * math.Log2(math.Max(2, n)) / ((1 - 3*eps) * eps * eps * n)
+	p := 8 * math.Log2(math.Max(2, n)) / ((1 - 3*epsilon) * epsilon * epsilon * n)
 	return math.Min(1, p)
 }
 
@@ -126,7 +123,7 @@ func (cfg ByzConfig) poolProb() float64 {
 // tolerates: the largest f with f < (1/3 − ε₀)·n.
 func (cfg ByzConfig) MaxByzantine() int {
 	n := float64(len(cfg.IDs))
-	bound := (1.0/3 - cfg.eps()) * n
+	bound := (1.0/3 - epsilon) * n
 	f := int(math.Ceil(bound)) - 1
 	if f < 0 {
 		f = 0
@@ -142,6 +139,9 @@ func (cfg ByzConfig) Validate() error {
 	}
 	if cfg.N < n {
 		return fmt.Errorf("core: namespace N=%d smaller than n=%d", cfg.N, n)
+	}
+	if p := cfg.PoolProb; math.IsNaN(p) || p < 0 {
+		return fmt.Errorf("core: pool probability %v is negative or NaN", p)
 	}
 	seen := make(map[int]bool, n)
 	for i, id := range cfg.IDs {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -22,7 +23,8 @@ type CrashConfig struct {
 	// paper's constant makes the election probability exceed 1 for
 	// laptop-scale n (collapsing the committee to everyone); scaling it
 	// down lets experiments exercise genuinely small committees. The
-	// default 0 means 1.0, i.e. the paper's constant.
+	// default 0 means 1.0, i.e. the paper's constant. Negative, NaN and
+	// infinite values are errors.
 	CommitteeScale float64
 	// DisableReelectionDoubling is the A1 ablation: after a committee
 	// wipe, nodes re-elect with the *initial* probability instead of
@@ -55,6 +57,9 @@ func (cfg CrashConfig) Validate() error {
 	}
 	if cfg.N < n {
 		return fmt.Errorf("core: namespace N=%d smaller than n=%d", cfg.N, n)
+	}
+	if s := cfg.CommitteeScale; math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
+		return fmt.Errorf("core: committee scale %v is not a finite non-negative number", s)
 	}
 	// Crash payloads travel only in the two-word packed layout, which
 	// holds every field for any N below 2^63 once n <= 2^23.

@@ -80,14 +80,6 @@ func ByID(id string, cfg Config) (*Table, error) {
 
 func log2(n int) float64 { return math.Log2(math.Max(2, float64(n))) }
 
-func log2Ceil(n int) int {
-	bits := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		bits++
-	}
-	return bits
-}
-
 // E1Table1 reproduces the paper's Table 1 empirically: each implemented
 // algorithm at one network size, with the per-fault-model failure loads
 // the table's asymptotics are about.

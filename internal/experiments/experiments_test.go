@@ -1,12 +1,22 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
 
+// quickTablesDigest is the SHA-256 of the 14 quick tables exactly as
+// `go run ./cmd/benchtables -quick` prints them to stdout (one
+// fmt.Println per table), at any -workers. Update it only for a
+// deliberate change of an experiment's output, never for a refactor or
+// a performance change.
+const quickTablesDigest = "9d430c0b64d682a698b611d131cc7f754ac9142766661eea02d6168e20913212"
+
 // TestAllQuick runs the full experiment suite at quick scale and checks
-// each table is well-formed and contains no bound violations.
+// each table is well-formed, contains no bound violations, and renders
+// byte-identically to quickTablesDigest.
 func TestAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
@@ -18,6 +28,7 @@ func TestAllQuick(t *testing.T) {
 	if len(tables) != 14 {
 		t.Fatalf("got %d tables, want 14", len(tables))
 	}
+	stdout := sha256.New()
 	for _, table := range tables {
 		if len(table.Rows) == 0 {
 			t.Errorf("%s: empty table", table.ID)
@@ -32,6 +43,10 @@ func TestAllQuick(t *testing.T) {
 			}
 		}
 		t.Logf("\n%s", out)
+		stdout.Write([]byte(out + "\n"))
+	}
+	if got := hex.EncodeToString(stdout.Sum(nil)); got != quickTablesDigest {
+		t.Errorf("quick tables digest %s, want %s", got, quickTablesDigest)
 	}
 }
 
@@ -74,9 +89,6 @@ func TestHelpers(t *testing.T) {
 	}
 	if got := firstK(4); len(got) != 4 || got[3] != 3 {
 		t.Fatalf("firstK = %v", got)
-	}
-	if log2Ceil(1) != 0 || log2Ceil(2) != 1 || log2Ceil(1000) != 10 {
-		t.Fatal("log2Ceil wrong")
 	}
 	if fmtCount(1234567) != "1,234,567" || fmtCount(42) != "42" {
 		t.Fatal("fmtCount wrong")

@@ -3,8 +3,7 @@
 // 1.3, the Ω(n) lower bound of Theorem 1.4, the O(log N) message-size
 // bound, and two ablations of the paper's design choices. Each experiment
 // is indexed in DESIGN.md §4 and its measured output is recorded in
-// EXPERIMENTS.md. The same entry points back cmd/benchtables and the
-// bench_test.go benchmarks.
+// EXPERIMENTS.md. The same entry points back cmd/benchtables.
 package experiments
 
 import (

@@ -73,11 +73,6 @@ func (iv Interval) Contains(other Interval) bool {
 // ContainsValue reports whether v ∈ iv.
 func (iv Interval) ContainsValue(v int) bool { return iv.Lo <= v && v <= iv.Hi }
 
-// Overlaps reports whether the two intervals share at least one integer.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
 // Depth returns the depth of iv in the halving tree rooted at root, or
 // ok=false when iv is not a vertex of that tree. The root has depth 0.
 func (iv Interval) Depth(root Interval) (depth int, ok bool) {
@@ -99,12 +94,6 @@ func (iv Interval) Depth(root Interval) (depth int, ok bool) {
 		}
 		depth++
 	}
-}
-
-// InTree reports whether iv is a vertex of the halving tree rooted at root.
-func (iv Interval) InTree(root Interval) bool {
-	_, ok := iv.Depth(root)
-	return ok
 }
 
 // String renders "[lo,hi]".

@@ -28,12 +28,9 @@ func TestBasics(t *testing.T) {
 }
 
 func TestContainsOverlaps(t *testing.T) {
-	a, b, c := New(1, 8), New(3, 5), New(9, 12)
+	a, b := New(1, 8), New(3, 5)
 	if !a.Contains(b) || b.Contains(a) {
 		t.Fatal("Contains wrong")
-	}
-	if !a.Overlaps(b) || a.Overlaps(c) {
-		t.Fatal("Overlaps wrong")
 	}
 	if !a.ContainsValue(8) || a.ContainsValue(9) {
 		t.Fatal("ContainsValue wrong")
@@ -59,9 +56,6 @@ func TestDepth(t *testing.T) {
 		depth, ok := c.iv.Depth(root)
 		if ok != c.ok || (ok && depth != c.depth) {
 			t.Errorf("Depth(%v) = %d,%v; want %d,%v", c.iv, depth, ok, c.depth, c.ok)
-		}
-		if c.iv.InTree(root) != c.ok {
-			t.Errorf("InTree(%v) = %v", c.iv, !c.ok)
 		}
 	}
 }

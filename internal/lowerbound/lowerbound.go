@@ -79,15 +79,3 @@ func MinBudgetFor(n int, target float64, trials int, seed int64) int {
 	}
 	return last
 }
-
-// CollisionProbabilityTwoSilent returns the analytical collision
-// probability of the theorem's core step: two anonymous nodes that never
-// communicate and must each pick a name out of the same k free slots
-// collide with probability exactly 1/k — non-trivial whenever the
-// namespace is tight (strong renaming forces k ≤ n).
-func CollisionProbabilityTwoSilent(k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	return 1 / float64(k)
-}

@@ -68,15 +68,6 @@ func TestMinBudgetForLinearInN(t *testing.T) {
 	}
 }
 
-func TestCollisionProbabilityTwoSilent(t *testing.T) {
-	if got := CollisionProbabilityTwoSilent(4); got != 0.25 {
-		t.Fatalf("got %f", got)
-	}
-	if got := CollisionProbabilityTwoSilent(0); got != 1 {
-		t.Fatalf("k=0: got %f", got)
-	}
-}
-
 func TestRunProtocolFullBudgetSucceeds(t *testing.T) {
 	// prob 1: everyone requests; names are exactly a permutation of the
 	// arrival order → always distinct.

@@ -16,7 +16,7 @@
 //     a rank in [1, batch];
 //   - ranks are mapped in order onto names popped from the FreeList and
 //     committed into the rename-map table (client → name, name → client);
-//   - a checkpoint taken at epoch start makes the epoch atomic: when the
+//   - an undo journal opened at epoch start makes the epoch atomic: when the
 //     one-shot run leaves the guarantee envelope (a non-unique outcome,
 //     a broken committee assumption, a drained free list) the whole
 //     epoch — leaves included — rolls back to the exact pre-epoch

@@ -6,6 +6,40 @@ import (
 	"testing"
 )
 
+// FreeListCheckpoint is a full snapshot of a FreeList, sufficient to
+// restore the exact pre-epoch state (slot contents included — an epoch
+// overwrites slots behind the tail as leavers release names). The live
+// service never takes one: it rolls back through the undo journal. The
+// snapshot is the oracle that the undo operations (TestFreeListUndoExact)
+// and the differential suite (differential_test.go) are checked against.
+type FreeListCheckpoint struct {
+	slots     []int32
+	head      int
+	tail      int
+	headPhase uint8
+	tailPhase uint8
+}
+
+// Checkpoint snapshots the list.
+func (fl *FreeList) Checkpoint() FreeListCheckpoint {
+	return FreeListCheckpoint{
+		slots:     append([]int32(nil), fl.slots...),
+		head:      fl.head,
+		tail:      fl.tail,
+		headPhase: fl.headPhase,
+		tailPhase: fl.tailPhase,
+	}
+}
+
+// Restore rewinds the list to a checkpoint taken on the same list.
+func (fl *FreeList) Restore(cp FreeListCheckpoint) {
+	copy(fl.slots, cp.slots)
+	fl.head = cp.head
+	fl.tail = cp.tail
+	fl.headPhase = cp.headPhase
+	fl.tailPhase = cp.tailPhase
+}
+
 // drain pops every free name, returning them in pop order (mutates fl).
 func drain(fl *FreeList) []int {
 	var out []int

@@ -50,9 +50,6 @@ type Config struct {
 	// CommitteeScale is passed to the crash core; defaults to 0.02 (the
 	// experiment suite's scaled committee).
 	CommitteeScale float64
-	// PoolProb is passed to the Byzantine core; 0 selects 20/batch per
-	// epoch (the E5 pool, resized to the join batch).
-	PoolProb float64
 	// EngineWorkers pins the round engine's worker count inside every
 	// epoch (sim.WithEngineWorkers); results are bit-identical at any
 	// setting.
@@ -67,10 +64,6 @@ type Config struct {
 	// indices in the returned spec address links of the epoch's network
 	// (0..batch-1); out-of-range events are skipped by the schedule.
 	FaultForEpoch func(epoch, batch int) renaming.FaultSpec
-	// ByzantineForEpoch, when non-nil and Core is CoreByzantine,
-	// supplies the corruption map for the epoch's one-shot run (link
-	// index within the batch → behaviour).
-	ByzantineForEpoch func(epoch, batch int) map[int]renaming.Behavior
 	// FailEpoch, when non-nil, forces an abort of epochs it returns true
 	// for — after the leaves and the one-shot run have mutated state, so
 	// the rollback path is exercised end-to-end. Test hook.
@@ -290,12 +283,6 @@ func (s *Service) FreeNames() int { return s.free.Len() }
 func (s *Service) LiveClients() []int {
 	s.materializeLive()
 	return s.live
-}
-
-// NameOf returns the committed name of a client.
-func (s *Service) NameOf(client int) (int, bool) {
-	name, ok := s.names[client]
-	return name, ok
 }
 
 // Snapshot returns a copy of the committed client → name mapping. It is
@@ -574,20 +561,15 @@ func (s *Service) runOneShot(epoch int, joins []Client) (*renaming.Result, error
 		fault = s.cfg.FaultForEpoch(epoch, k)
 	}
 	if s.cfg.Core == CoreByzantine {
-		spec := renaming.ByzSpec{
+		// The pool is the E5 pool, 20 candidates in expectation, resized
+		// to the join batch.
+		return s.session.RunByzantine(k, renaming.ByzSpec{
 			N: s.cfg.BigN, IDs: ids, Seed: seed,
-			PoolProb:      s.cfg.PoolProb,
+			PoolProb:      20.0 / float64(k),
 			Fault:         fault,
 			Profile:       s.cfg.Profile,
 			EngineWorkers: s.cfg.EngineWorkers,
-		}
-		if spec.PoolProb == 0 {
-			spec.PoolProb = 20.0 / float64(k)
-		}
-		if s.cfg.ByzantineForEpoch != nil {
-			spec.Byzantine = s.cfg.ByzantineForEpoch(epoch, k)
-		}
-		return s.session.RunByzantine(k, spec)
+		})
 	}
 	return s.session.RunCrash(k, renaming.CrashSpec{
 		N: s.cfg.BigN, IDs: ids, Seed: seed,

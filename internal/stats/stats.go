@@ -209,25 +209,3 @@ func bootstrapCI(xs []float64, conf float64, resamples int, seed int64,
 		Hi: quantileSorted(estimates, 1-alpha),
 	}
 }
-
-// GeometricMeanRatio returns the geometric mean of ys[i]/xs[i] — a
-// robust "constant factor" estimate for bounded-ratio claims like
-// messages / model.
-func GeometricMeanRatio(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	count := 0
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			continue
-		}
-		sum += math.Log(ys[i] / xs[i])
-		count++
-	}
-	if count == 0 {
-		return math.NaN()
-	}
-	return math.Exp(sum / float64(count))
-}

@@ -74,19 +74,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestGeometricMeanRatio(t *testing.T) {
-	got := GeometricMeanRatio([]float64{1, 2, 4}, []float64{3, 6, 12})
-	if math.Abs(got-3) > 1e-9 {
-		t.Fatalf("ratio = %f", got)
-	}
-	if !math.IsNaN(GeometricMeanRatio(nil, nil)) {
-		t.Fatal("empty input should be NaN")
-	}
-	if !math.IsNaN(GeometricMeanRatio([]float64{0}, []float64{0})) {
-		t.Fatal("all-nonpositive input should be NaN")
-	}
-}
-
 func TestQuantileNearestRank(t *testing.T) {
 	xs := []float64{40, 10, 20, 30} // sorted: 10 20 30 40
 	cases := []struct {

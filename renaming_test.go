@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -420,6 +421,37 @@ func TestRunByzantineValidation(t *testing.T) {
 	}
 	if _, err := RunByzantine(3, ByzSpec{N: 12, IDs: []int{0, 1, 2}}); err == nil {
 		t.Fatal("out-of-range id accepted")
+	}
+}
+
+// TestRejectsMalformedNumbersAndLinks: a malformed committee scale,
+// pool probability, Byzantine link or behaviour is an error, not a run
+// whose failure looks like the protocol's.
+func TestRejectsMalformedNumbersAndLinks(t *testing.T) {
+	crash := func(scale float64) func() (*Result, error) {
+		return func() (*Result, error) { return RunCrash(16, CrashSpec{Seed: 1, CommitteeScale: scale}) }
+	}
+	byz := func(spec ByzSpec) func() (*Result, error) {
+		return func() (*Result, error) { spec.Seed = 1; return RunByzantine(16, spec) }
+	}
+	split := BehaviorSplitWorld
+	cases := []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"committee scale NaN", crash(math.NaN())},
+		{"committee scale -1", crash(-1)},
+		{"committee scale +Inf", crash(math.Inf(1))},
+		{"pool probability NaN", byz(ByzSpec{PoolProb: math.NaN()})},
+		{"pool probability -1", byz(ByzSpec{PoolProb: -1})},
+		{"Byzantine link 99", byz(ByzSpec{Byzantine: map[int]Behavior{99: split}})},
+		{"Byzantine link -1", byz(ByzSpec{Byzantine: map[int]Behavior{-1: split}})},
+		{"undefined behavior", byz(ByzSpec{Byzantine: map[int]Behavior{3: Behavior(99)}})},
+	}
+	for _, tc := range cases {
+		if res, err := tc.run(); err == nil {
+			t.Errorf("%s: accepted (unique=%v, %d messages)", tc.name, res.Unique, res.Messages)
+		}
 	}
 }
 

@@ -63,8 +63,6 @@ type ByzSpec struct {
 	// Seed drives private randomness, the shared-randomness beacon, and
 	// Byzantine behaviour.
 	Seed int64
-	// Epsilon is the paper's ε₀ margin (default 0.1).
-	Epsilon float64
 	// PoolProb overrides the paper's candidate-pool probability p₀
 	// (see core.ByzConfig).
 	PoolProb float64
@@ -74,7 +72,9 @@ type ByzSpec struct {
 	Sortition bool
 	// SplitAlways is the A2 ablation (see core.ByzConfig).
 	SplitAlways bool
-	// Byzantine maps link index → behaviour for corrupted nodes.
+	// Byzantine maps link index → behaviour for corrupted nodes. Links
+	// outside [0, n) and behaviours other than the Behavior constants
+	// are errors.
 	Byzantine map[int]Behavior
 	// Fault optionally crashes honest nodes mid-execution (mixed
 	// crash+Byzantine campaigns). A Byzantine adversary subsumes
@@ -124,8 +124,7 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 	}
 	cfg := core.ByzConfig{
 		N: spec.N, IDs: spec.IDs, Seed: spec.Seed,
-		Epsilon: spec.Epsilon, PoolProb: spec.PoolProb,
-		SplitAlways: spec.SplitAlways,
+		PoolProb: spec.PoolProb, SplitAlways: spec.SplitAlways,
 	}
 	if spec.Sortition {
 		cfg.Election = core.ElectionSortition
@@ -145,6 +144,9 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 	var byzLinks, rushLinks []int
 	for i := 0; i < n; i++ {
 		if behavior, bad := spec.Byzantine[i]; bad {
+			if behavior < BehaviorSilent || behavior > BehaviorRushingEquivocate {
+				return nil, fmt.Errorf("renaming: Byzantine link %d has undefined behavior %d", i, behavior)
+			}
 			simNodes[i] = core.NewByzAttacker(cfg, i, behavior.core())
 			byzLinks = append(byzLinks, i)
 			if behavior == BehaviorRushingEquivocate {
@@ -155,6 +157,9 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 		node := core.NewByzNode(cfg, i)
 		honest[i] = node
 		simNodes[i] = node
+	}
+	if len(byzLinks) != len(spec.Byzantine) {
+		return nil, fmt.Errorf("renaming: %d Byzantine links outside [0,%d)", len(spec.Byzantine)-len(byzLinks), n)
 	}
 	opts := []sim.Option{sim.WithByzantine(byzLinks)}
 	if spec.Fault.Kind != 0 || spec.Fault.Custom != nil {

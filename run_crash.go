@@ -30,13 +30,12 @@ const (
 
 // FaultSpec configures the crash adversary.
 type FaultSpec struct {
-	Kind     FaultKind
-	Budget   int
-	Prob     float64
-	MidSend  bool
-	Round    int
-	Nodes    []int
-	Interval int // committee-killer cadence; 0 = every round
+	Kind    FaultKind
+	Budget  int
+	Prob    float64
+	MidSend bool
+	Round   int
+	Nodes   []int
 	// Custom, when non-nil, is used verbatim and takes precedence over
 	// Kind. Stateful adversaries are good for one execution, so callers
 	// running sweeps must construct a fresh value per run (the campaign
@@ -57,7 +56,7 @@ func (spec FaultSpec) build(seed int64) sim.CrashAdversary {
 		}
 	case FaultCommitteeKiller:
 		return &adversary.CommitteeKiller{
-			Budget: spec.Budget, Interval: spec.Interval, MidSend: spec.MidSend,
+			Budget: spec.Budget, MidSend: spec.MidSend,
 			Rand: rand.New(rand.NewSource(sim.DeriveSeed(seed, 0x657665))),
 		}
 	case FaultBurst:
