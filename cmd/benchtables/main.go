@@ -60,6 +60,11 @@ func run() error {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this path (go tool pprof)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "benchtables: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {

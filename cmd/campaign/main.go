@@ -64,6 +64,11 @@ func run() (int, error) {
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this path (go tool pprof)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "campaign: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {

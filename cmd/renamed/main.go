@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -33,7 +35,7 @@ import (
 )
 
 func main() {
-	code, err := run()
+	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "renamed:", err)
 		os.Exit(2)
@@ -41,26 +43,42 @@ func main() {
 	os.Exit(code)
 }
 
-func run() (int, error) {
+// run is main with its arguments and output streams passed in, so tests
+// drive it in-process. It returns the exit code: 0 when every epoch
+// passes the oracle (or -h), 1 on an oracle violation, and 2 on a usage
+// error; a non-nil error also exits 2.
+func run(args []string, stdout, stderr io.Writer) (int, error) {
+	fs := flag.NewFlagSet("renamed", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		capacity   = flag.Int("n", 1024, "service namespace capacity (bounds the live population)")
-		bigN       = flag.Int("N", 0, "original namespace joiner identities are drawn from (default 16·n)")
-		epochs     = flag.Int("epochs", 100, "number of join/leave epochs to run")
-		seed       = flag.Int64("seed", 1, "master seed: trace, per-epoch one-shot runs, and fault schedule all derive from it")
-		core       = flag.String("core", "crash", "one-shot core per epoch: crash | byzantine")
-		joinMax    = flag.Int("join-max", 0, "max joins per epoch (default max(1, n/8))")
-		leaveMax   = flag.Int("leave-max", 0, "max leaves per epoch (default join-max)")
-		faults     = flag.Int("faults", 0, "churn-adversary crash budget across the whole trace (0 = fault-free)")
-		workers    = flag.Int("workers", 0, "round-engine workers inside each epoch (default GOMAXPROCS); output is byte-identical at any count")
-		outPath    = flag.String("out", "", "append one JSONL record per epoch")
-		csvPath    = flag.String("csv", "", "write per-epoch records as CSV")
-		volatile   = flag.Bool("volatile", false, "keep wall-clock and allocation fields in -out records (off: byte-comparable artifacts)")
-		profile    = flag.Bool("profile", false, "record per-epoch round traffic profiles into the JSONL records")
-		progress   = flag.Bool("progress", false, "live progress line on stderr")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this path (go tool pprof)")
+		capacity   = fs.Int("n", 1024, "service namespace capacity (bounds the live population)")
+		bigN       = fs.Int("N", 0, "original namespace joiner identities are drawn from (default 16·n)")
+		epochs     = fs.Int("epochs", 100, "number of join/leave epochs to run")
+		seed       = fs.Int64("seed", 1, "master seed: trace, per-epoch one-shot runs, and fault schedule all derive from it")
+		core       = fs.String("core", "crash", "one-shot core per epoch: crash | byzantine")
+		joinMax    = fs.Int("join-max", 0, "max joins per epoch (default max(1, n/8))")
+		leaveMax   = fs.Int("leave-max", 0, "max leaves per epoch (default join-max)")
+		faults     = fs.Int("faults", 0, "churn-adversary crash budget across the whole trace (0 = fault-free)")
+		workers    = fs.Int("workers", 0, "round-engine workers inside each epoch (default GOMAXPROCS); output is byte-identical at any count")
+		outPath    = fs.String("out", "", "append one JSONL record per epoch")
+		csvPath    = fs.String("csv", "", "write per-epoch records as CSV")
+		volatile   = fs.Bool("volatile", false, "keep wall-clock and allocation fields in -out records (off: byte-comparable artifacts)")
+		profile    = fs.Bool("profile", false, "record per-epoch round traffic profiles into the JSONL records")
+		progress   = fs.Bool("progress", false, "live progress line on stderr")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this path (go tool pprof)")
+		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this path (go tool pprof)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, nil
+		}
+		return 2, nil
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "renamed: unexpected arguments %q\n", fs.Args())
+		fs.Usage()
+		return 2, nil
+	}
 
 	if *epochs <= 0 {
 		return 0, fmt.Errorf("-epochs must be positive, got %d", *epochs)
@@ -130,7 +148,7 @@ func run() (int, error) {
 	}
 	var prog *runner.ProgressSink
 	if *progress {
-		prog = &runner.ProgressSink{W: os.Stderr}
+		prog = &runner.ProgressSink{W: stderr}
 		prog.StartSweep("churn", *epochs)
 	}
 
@@ -187,26 +205,26 @@ func run() (int, error) {
 
 	// The summary is deterministic in (flags, seed): volatile provenance
 	// goes to stderr so stdout diffs cleanly across runs and -workers.
-	fmt.Printf("churn     core=%s n=%d N=%d epochs=%d join-max=%d faults=%d seed=%d\n",
+	fmt.Fprintf(stdout, "churn     core=%s n=%d N=%d epochs=%d join-max=%d faults=%d seed=%d\n",
 		svcCore, svc.Capacity(), cfg.BigN, *epochs, driver.JoinMax(), *faults, *seed)
-	fmt.Printf("service   joined=%d failed=%d released=%d recycled=%d aborted=%d live=%d free=%d\n",
+	fmt.Fprintf(stdout, "service   joined=%d failed=%d released=%d recycled=%d aborted=%d live=%d free=%d\n",
 		totals.joined, totals.failed, totals.released, totals.recycled,
 		totals.aborted, svc.Live(), svc.FreeNames())
-	fmt.Printf("one-shot  rounds=%d messages=%d bits=%d crashes=%d\n",
+	fmt.Fprintf(stdout, "one-shot  rounds=%d messages=%d bits=%d crashes=%d\n",
 		totals.rounds, totals.messages, totals.bits, totals.crashes)
 	if len(violations) == 0 {
-		fmt.Printf("violations: 0 across %d epochs\n", *epochs)
+		fmt.Fprintf(stdout, "violations: 0 across %d epochs\n", *epochs)
 	} else {
-		fmt.Printf("violations: %d\n", len(violations))
+		fmt.Fprintf(stdout, "violations: %d\n", len(violations))
 		for i, v := range violations {
 			if i >= 10 {
-				fmt.Printf("  … and %d more\n", len(violations)-i)
+				fmt.Fprintf(stdout, "  … and %d more\n", len(violations)-i)
 				break
 			}
-			fmt.Printf("  epoch %d [%s] %s\n", v.Epoch, v.Invariant, v.Detail)
+			fmt.Fprintf(stdout, "  epoch %d [%s] %s\n", v.Epoch, v.Invariant, v.Detail)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "renamed: %d epochs in %s\n", *epochs, elapsed)
+	fmt.Fprintf(stderr, "renamed: %d epochs in %s\n", *epochs, elapsed)
 	if err := stopProfiles(); err != nil {
 		return 0, err
 	}

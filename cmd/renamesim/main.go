@@ -53,6 +53,11 @@ func run() error {
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this path (docs/MEMORY.md walks through one)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "renamesim: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
