@@ -14,6 +14,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./... -short -race
 	$(GO) test -run 'TestAllQuick$$' ./internal/experiments
+	$(GO) test -race ./internal/sim ./internal/service
 	$(GO) test -race -count=200 -run 'TestSinkFailureStopsScheduling$$' ./internal/runner
 	$(GO) test -run '^$$' -bench StepRound -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench ByzStepRound -benchtime 1x .
@@ -28,7 +29,8 @@ ci:
 
 # The CI mem-smoke job: whole-run crash at n=2^16 under GOMEMLIMIT with
 # a live-heap ceiling assert, plus the per-epoch allocation gate for the
-# churn service at Capacity=2^20 (see docs/MEMORY.md).
+# churn service at Capacity=2^20, where an epoch touches only its batch
+# and so must cost O(batch) (see docs/MEMORY.md).
 mem-smoke:
 	RENAMING_MEMSMOKE=1 GOMEMLIMIT=6GiB $(GO) test -run MemorySmoke -v -timeout 20m .
 

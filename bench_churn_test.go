@@ -65,10 +65,11 @@ func BenchmarkChurnEpoch(b *testing.B) {
 	// leaves per epoch, identities from a shared 2^22 namespace) and sweep
 	// only the Capacity knob. Under snapshot rollback these rows scaled
 	// linearly in Capacity — every epoch copied the whole owner table and
-	// free-list ring; with the undo journal and the lazy live view the
-	// per-epoch cost is O(batch), so the rows should stay flat from
-	// cap=256 through the cap=2^20 smoke row (the 1.5x ratio gate in
-	// EXPERIMENTS.md E11 reads these from BENCH_churn.json).
+	// free-list ring. An epoch now decides before it writes, so it
+	// touches only its batch, and with the lazy live view the per-epoch
+	// cost is O(batch): the rows should stay flat from cap=256 through
+	// the cap=2^20 smoke row (the 1.5x ratio gate in EXPERIMENTS.md E11
+	// reads these from BENCH_churn.json).
 	const fixedBatch = 128
 	for _, capacity := range []int{256, 4096, 65536, 1 << 20} {
 		capacity := capacity

@@ -45,7 +45,8 @@ const (
 	// a name leaked or was duplicated somewhere.
 	InvConservation = "conservation"
 	// InvRollback: an aborted epoch left a visible state change behind
-	// (the checkpoint rollback contract).
+	// (an aborted epoch must write nothing). The code keeps its name
+	// because recorded artifacts carry it.
 	InvRollback = "rollback"
 )
 

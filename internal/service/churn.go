@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"renaming/internal/sim"
@@ -17,7 +18,8 @@ type TraceSpec struct {
 	// batches never exceed the free capacity.
 	Capacity int
 	// BigN is the original namespace joiner identities are drawn from;
-	// defaults to 16·Capacity. A trace errors out when its cumulative
+	// defaults to 16·Capacity, and at most math.MaxInt32, as identities
+	// are stored as int32. A trace errors out when its cumulative
 	// joins exhaust BigN (original identities are never reused, so every
 	// recycled *name* provably served distinct clients).
 	BigN int
@@ -34,8 +36,14 @@ func (spec TraceSpec) withDefaults() (TraceSpec, error) {
 	if spec.Capacity <= 0 {
 		return spec, fmt.Errorf("service: trace capacity must be positive, got %d", spec.Capacity)
 	}
+	if spec.Capacity > math.MaxInt32 {
+		return spec, fmt.Errorf("service: trace capacity %d above %d, the int32 identity bound", spec.Capacity, math.MaxInt32)
+	}
 	if spec.BigN == 0 {
 		spec.BigN = 16 * spec.Capacity
+	}
+	if spec.BigN > math.MaxInt32 {
+		return spec, fmt.Errorf("service: trace namespace N=%d above %d, the int32 identity bound", spec.BigN, math.MaxInt32)
 	}
 	if spec.BigN < spec.Capacity {
 		return spec, fmt.Errorf("service: trace namespace N=%d smaller than capacity %d", spec.BigN, spec.Capacity)

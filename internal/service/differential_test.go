@@ -8,44 +8,42 @@ import (
 	"renaming"
 )
 
-// The differential suite pins the undo journal's exactness against the
-// full-snapshot model it replaced: before every epoch of a random
-// join/leave/abort trace the test takes a complete checkpoint, and every
-// epoch that aborts (or fails) must leave the service bit-identical to
-// it — free-list slots, cursors and phase bits, owner table, rename map,
-// and materialized live view.
+// The differential suite checks epoch atomicity: before every epoch of
+// a random join/leave trace the test takes a complete checkpoint of the
+// service, and every epoch that aborts (or fails) must leave the
+// service bit-identical to it — free-list slots, cursors and phase
+// bits, rename map, grant counters, peak population, and materialized
+// live view.
 
-// checkpoint is the full pre-epoch snapshot: free list, both mapping
-// directions, and the sorted live view — the O(Capacity) rollback model
-// (~12 MB per epoch at Capacity 2^20) that the journal removed from the
-// hot path. Slice copies via append([]T(nil), ...) normalize empty to
-// nil, so laziness differences in when buffers materialize can't cause
-// spurious nil-vs-empty mismatches.
+// checkpoint is the full pre-epoch snapshot. Slice copies via
+// append([]T(nil), ...) normalize empty to nil, so laziness differences
+// in when buffers materialize can't cause spurious nil-vs-empty
+// mismatches.
 type checkpoint struct {
-	Free  FreeListCheckpoint
-	Owner []int32
-	Names map[int]int
-	Live  []int
+	Free     FreeListCheckpoint
+	Names    map[int]int
+	Uses     []uint32
+	PeakLive int
+	Live     []int
 }
 
 func (s *Service) takeCheckpoint() checkpoint {
 	return checkpoint{
-		Free:  s.free.Checkpoint(),
-		Owner: append([]int32(nil), s.owner...),
-		Names: s.Snapshot(),
-		Live:  append([]int(nil), s.LiveClients()...),
+		Free:     s.free.Checkpoint(),
+		Names:    s.Snapshot(),
+		Uses:     append([]uint32(nil), s.uses...),
+		PeakLive: s.peakLive,
+		Live:     append([]int(nil), s.LiveClients()...),
 	}
 }
 
-// runDifferentialTrace drives one service through one random trace.
-// The trace mixes committed epochs, forced aborts (FailEpoch fires after
-// leaves and the one-shot run mutated state), oversubscribed join
-// batches that drain the free list, crash faults that fail a subset of
-// joiners, leave-only epochs, and empty epochs.
-func runDifferentialTrace(t *testing.T, seed int64, epochs int) {
+// runAbortTrace drives one service through one random trace. The trace
+// mixes committed epochs, oversubscribed join batches that drain the
+// free list while random leavers release names, crash faults that fail
+// a subset of joiners, leave-only epochs, and empty epochs.
+func runAbortTrace(t *testing.T, seed int64, epochs int) {
 	t.Helper()
 	const capacity = 6
-	failFlag := false
 	var fault renaming.FaultSpec
 	svc, err := New(Config{
 		Capacity: capacity,
@@ -54,7 +52,6 @@ func runDifferentialTrace(t *testing.T, seed int64, epochs int) {
 		FaultForEpoch: func(epoch, batch int) renaming.FaultSpec {
 			return fault
 		},
-		FailEpoch: func(epoch int) bool { return failFlag },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +86,7 @@ func runDifferentialTrace(t *testing.T, seed int64, epochs int) {
 			nextID++
 		}
 
-		// Per-epoch knobs: forced aborts and crash faults, read by the
-		// service through its hooks.
-		failFlag = rng.Intn(4) == 0
+		// Crash faults, read by the service through its hook.
 		fault = renaming.FaultSpec{}
 		if rng.Intn(3) == 0 {
 			fault = renaming.FaultSpec{
@@ -107,18 +102,18 @@ func runDifferentialTrace(t *testing.T, seed int64, epochs int) {
 			continue
 		}
 		if after := svc.takeCheckpoint(); !reflect.DeepEqual(before, after) {
-			t.Fatalf("seed %d epoch %d (err=%v): rollback diverged from the pre-epoch checkpoint:\nbefore: %+v\nafter:  %+v",
+			t.Fatalf("seed %d epoch %d (err=%v): aborted epoch changed the service:\nbefore: %+v\nafter:  %+v",
 				seed, epoch, err, before, after)
 		}
 	}
 	if svc.Aborts() == 0 {
-		t.Logf("seed %d: trace committed every epoch (no rollback exercised)", seed)
+		t.Logf("seed %d: trace committed every epoch (no abort exercised)", seed)
 	}
 }
 
-// TestJournalMatchesSnapshotModel is the deterministic property test:
-// many seeds, each a full random trace checked at every rollback.
-func TestJournalMatchesSnapshotModel(t *testing.T) {
+// TestAbortedEpochLeavesStateUntouched is the deterministic property
+// test: many seeds, each a full random trace checked at every abort.
+func TestAbortedEpochLeavesStateUntouched(t *testing.T) {
 	epochs := 30
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 42, 1234}
 	if testing.Short() {
@@ -126,17 +121,17 @@ func TestJournalMatchesSnapshotModel(t *testing.T) {
 		seeds = seeds[:4]
 	}
 	for _, seed := range seeds {
-		runDifferentialTrace(t, seed, epochs)
+		runAbortTrace(t, seed, epochs)
 	}
 }
 
-// FuzzJournalVsSnapshot lets the fuzzer hunt for trace shapes where the
-// journal's reverse replay diverges from the pre-epoch snapshot.
-func FuzzJournalVsSnapshot(f *testing.F) {
+// FuzzAbortedEpoch lets the fuzzer hunt for trace shapes where an
+// aborted epoch changes the service.
+func FuzzAbortedEpoch(f *testing.F) {
 	for _, seed := range []int64{1, 77, 4096, -13} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		runDifferentialTrace(t, seed, 12)
+		runAbortTrace(t, seed, 12)
 	})
 }

@@ -9,24 +9,26 @@
 // protocol becomes the inner loop of an epoch loop:
 //
 //   - clients join and leave in per-epoch batches;
-//   - each epoch first releases the leavers' names into a ring-buffer
+//   - each epoch runs the one-shot crash or Byzantine protocol over the
+//     join batch alone, giving every surviving joiner a rank in
+//     [1, batch];
+//   - the epoch then decides whether to commit: it aborts when the run
+//     leaves the guarantee envelope (a non-unique outcome, a broken
+//     committee assumption, too few free names for the survivors). The
+//     run reads none of the service's tables, so every abort reason is
+//     known before any table is written, and an aborted epoch leaves
+//     the service exactly as it was;
+//   - a committed epoch releases the leavers' names into a ring-buffer
 //     FreeList (head/tail indices with phase bits, the register-renaming
-//     free-list structure), then runs the one-shot crash or Byzantine
-//     protocol over the join batch alone, giving every surviving joiner
-//     a rank in [1, batch];
-//   - ranks are mapped in order onto names popped from the FreeList and
-//     committed into the rename-map table (client → name, name → client);
-//   - an undo journal opened at epoch start makes the epoch atomic: when the
-//     one-shot run leaves the guarantee envelope (a non-unique outcome,
-//     a broken committee assumption, a drained free list) the whole
-//     epoch — leaves included — rolls back to the exact pre-epoch
-//     mapping.
+//     free-list structure), then maps ranks in order onto names popped
+//     from it and records them in the rename map (client → name).
 //
 // The service inherits the repo's determinism contract: a Config seed
 // fixes every epoch's one-shot execution, and results are bit-identical
 // at any EngineWorkers setting, which is what the churn harness's
 // golden-fingerprint test (service_determinism_test.go) and the
-// byte-identical JSONL acceptance of cmd/renamed pin.
+// stdout and JSONL digests of cmd/renamed (cmd/renamed/main_test.go)
+// pin.
 //
 // Invariants (re-checked per epoch by the campaign oracle,
 // internal/campaign.ServiceOracle; see docs/SERVICE.md):

@@ -87,33 +87,3 @@ func (fl *FreeList) Push(name int) error {
 	}
 	return nil
 }
-
-// TailSlot returns the value currently stored in the slot the next Push
-// will overwrite — the before-image an undo journal must capture for
-// UndoPush to be exact. (Pop never clears its slot, so the cell behind
-// the tail still holds whatever an earlier cycle left there.)
-func (fl *FreeList) TailSlot() int32 { return fl.slots[fl.tail] }
-
-// UndoPop rewinds the most recent Pop: the head cursor steps back, and
-// the popped name — still in its slot, Pop never clears — is free again.
-// Undo calls must replay the push/pop history exactly in reverse (the
-// journal's rollback order); out-of-order undo corrupts the phase bits.
-func (fl *FreeList) UndoPop() {
-	if fl.head == 0 {
-		fl.head = len(fl.slots)
-		fl.headPhase ^= 1
-	}
-	fl.head--
-}
-
-// UndoPush rewinds the most recent Push, restoring the overwritten
-// slot's previous contents (prev, captured via TailSlot before the
-// push). Same reverse-order contract as UndoPop.
-func (fl *FreeList) UndoPush(prev int32) {
-	if fl.tail == 0 {
-		fl.tail = len(fl.slots)
-		fl.tailPhase ^= 1
-	}
-	fl.tail--
-	fl.slots[fl.tail] = prev
-}

@@ -2,16 +2,14 @@ package service
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
-// FreeListCheckpoint is a full snapshot of a FreeList, sufficient to
-// restore the exact pre-epoch state (slot contents included — an epoch
-// overwrites slots behind the tail as leavers release names). The live
-// service never takes one: it rolls back through the undo journal. The
-// snapshot is the oracle that the undo operations (TestFreeListUndoExact)
-// and the differential suite (differential_test.go) are checked against.
+// FreeListCheckpoint is a full snapshot of a FreeList: slot contents
+// (an epoch overwrites slots behind the tail as leavers release names),
+// cursors and phase bits. The live service never takes one, because an
+// aborted epoch writes nothing; the differential suite
+// (differential_test.go) uses it to check exactly that.
 type FreeListCheckpoint struct {
 	slots     []int32
 	head      int
@@ -29,15 +27,6 @@ func (fl *FreeList) Checkpoint() FreeListCheckpoint {
 		headPhase: fl.headPhase,
 		tailPhase: fl.tailPhase,
 	}
-}
-
-// Restore rewinds the list to a checkpoint taken on the same list.
-func (fl *FreeList) Restore(cp FreeListCheckpoint) {
-	copy(fl.slots, cp.slots)
-	fl.head = cp.head
-	fl.tail = cp.tail
-	fl.headPhase = cp.headPhase
-	fl.tailPhase = cp.tailPhase
 }
 
 // drain pops every free name, returning them in pop order (mutates fl).
@@ -169,55 +158,6 @@ func TestFreeListNoDoubleHandOut(t *testing.T) {
 	}
 }
 
-// TestFreeListCheckpointRestore checks Restore rewinds to the exact
-// pre-checkpoint state: the post-restore pop sequence matches the one
-// observed right after the checkpoint, no matter what ran in between.
-func TestFreeListCheckpointRestore(t *testing.T) {
-	const capacity = 9
-	fl, err := NewFreeList(capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	var held []int
-	scramble := func(ops int) {
-		for op := 0; op < ops; op++ {
-			if rng.Intn(2) == 0 {
-				if name, ok := fl.Pop(); ok {
-					held = append(held, name)
-				}
-			} else if len(held) > 0 {
-				name := held[len(held)-1]
-				held = held[:len(held)-1]
-				if err := fl.Push(name); err != nil {
-					t.Fatalf("push %d: %v", name, err)
-				}
-			}
-		}
-	}
-	scramble(100)
-
-	cp := fl.Checkpoint()
-	want := drain(fl)
-	fl.Restore(cp)
-
-	// Mutate aggressively past a wrap, then rewind.
-	heldMark := len(held)
-	scramble(300)
-	held = held[:heldMark]
-	fl.Restore(cp)
-
-	if got := drain(fl); len(got) != len(want) {
-		t.Fatalf("post-restore drain has %d names, want %d", len(got), len(want))
-	} else {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("post-restore drain[%d] = %d, want %d", i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // FuzzFreeList drives the ring with a fuzzed op sequence against a
 // plain slice FIFO model: every observable (pop results, Len, Empty,
 // Full) must match the model at every step.
@@ -270,54 +210,4 @@ func FuzzFreeList(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestFreeListUndoExact drives random push/pop bursts across multiple
-// wrap-arounds, journaling each op's before-image, then undoes every
-// burst in reverse and requires the full list state — slots, cursors,
-// phase bits — to match a checkpoint taken before the burst. This is the
-// free-list half of the undo journal's exactness contract.
-func TestFreeListUndoExact(t *testing.T) {
-	for _, capacity := range []int{1, 2, 3, 7, 16} {
-		fl, err := NewFreeList(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(100 + capacity)))
-		type undo struct {
-			pop  bool
-			prev int32
-		}
-		for burst := 0; burst < 50; burst++ {
-			before := fl.Checkpoint()
-			var ops []undo
-			for step := 0; step < rng.Intn(2*capacity+2); step++ {
-				if rng.Intn(2) == 0 {
-					if name, ok := fl.Pop(); ok {
-						ops = append(ops, undo{pop: true})
-						// Keep popped names around implicitly; pushes below
-						// may recycle arbitrary valid names.
-						_ = name
-					}
-				} else if !fl.Full() {
-					prev := fl.TailSlot()
-					if err := fl.Push(1 + rng.Intn(capacity)); err != nil {
-						t.Fatal(err)
-					}
-					ops = append(ops, undo{prev: prev})
-				}
-			}
-			for i := len(ops) - 1; i >= 0; i-- {
-				if ops[i].pop {
-					fl.UndoPop()
-				} else {
-					fl.UndoPush(ops[i].prev)
-				}
-			}
-			after := fl.Checkpoint()
-			if !reflect.DeepEqual(before, after) {
-				t.Fatalf("capacity %d burst %d: undo did not restore the list: %+v -> %+v", capacity, burst, before, after)
-			}
-		}
-	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"renaming"
@@ -36,6 +37,7 @@ type Config struct {
 	// Capacity is the size of the recyclable namespace [1, Capacity]; it
 	// bounds the live population. Tightness means live names never leave
 	// this window no matter how many clients the trace serves in total.
+	// At most math.MaxInt32, as the free list stores names as int32.
 	Capacity int
 	// BigN is the original namespace clients draw identities from;
 	// defaults to 16·Capacity. Every epoch's one-shot run works over
@@ -64,15 +66,14 @@ type Config struct {
 	// indices in the returned spec address links of the epoch's network
 	// (0..batch-1); out-of-range events are skipped by the schedule.
 	FaultForEpoch func(epoch, batch int) renaming.FaultSpec
-	// FailEpoch, when non-nil, forces an abort of epochs it returns true
-	// for — after the leaves and the one-shot run have mutated state, so
-	// the rollback path is exercised end-to-end. Test hook.
-	FailEpoch func(epoch int) bool
 }
 
 func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Capacity <= 0 {
 		return cfg, fmt.Errorf("service: capacity must be positive, got %d", cfg.Capacity)
+	}
+	if cfg.Capacity > math.MaxInt32 {
+		return cfg, fmt.Errorf("service: capacity %d above %d, the int32 name bound", cfg.Capacity, math.MaxInt32)
 	}
 	if cfg.BigN == 0 {
 		cfg.BigN = 16 * cfg.Capacity
@@ -128,9 +129,9 @@ type EpochResult struct {
 	// name. Joined + FailedJoins = JoinsRequested on a committed epoch.
 	Joined      int `json:"joined"`
 	FailedJoins int `json:"failedJoins"`
-	// Aborted marks a rolled-back epoch: no state change committed,
-	// AbortReason says why. The communication metrics still reflect the
-	// traffic the failed attempt cost.
+	// Aborted marks an epoch that decided not to commit: no table was
+	// written, AbortReason says why. The communication metrics still
+	// reflect the traffic the failed attempt cost.
 	Aborted     bool   `json:"aborted,omitempty"`
 	AbortReason string `json:"abortReason,omitempty"`
 	// Assignments and Released are the committed deltas, in rank order
@@ -168,19 +169,16 @@ type rankedJoin struct{ link, rank int }
 // design: epochs are stateful and strictly ordered (parallelism lives
 // inside each epoch's round engine, behind EngineWorkers).
 //
-// Per-epoch overhead is O(batch), independent of Capacity: rollback
-// records an undo journal of only the entries the epoch touches (see
-// journal.go), the sorted live view is materialized lazily from O(batch)
-// membership deltas, and the inner one-shot runs share a pooled round
+// Per-epoch overhead is O(batch), independent of Capacity: an epoch
+// decides before it writes, so it touches only the entries of its own
+// batch; the sorted live view is materialized lazily from O(batch)
+// membership deltas; and the inner one-shot runs share a pooled round
 // engine through a renaming.Session.
 type Service struct {
 	cfg  Config
 	free *FreeList
-	// owner is the committed name table (AMT analog): name → client ID,
-	// 0 when free. names is the committed rename-map (RMT analog):
-	// client ID → name; its key set is the authoritative live
-	// membership.
-	owner []int32
+	// names is the committed rename-map (RMT analog): client ID → name;
+	// its key set is the authoritative live membership.
 	names map[int]int
 	// uses counts grants per name; a grant of a name with uses > 0 is a
 	// recycle.
@@ -199,9 +197,6 @@ type Service struct {
 	deltaDel  map[int]struct{}
 	addSort   []int
 
-	// jnl is the current epoch's undo journal (journal.go).
-	jnl journal
-
 	// Epoch-stamped validation scratch: a map entry is "seen this epoch"
 	// iff it holds the current stamp, so the maps are never cleared —
 	// reused across epochs with zero per-epoch allocation.
@@ -210,7 +205,6 @@ type Service struct {
 	seenLeave map[int]uint64
 
 	// Reused per-epoch scratch.
-	leavesBuf []int // epoch-local copy of the leave batch
 	idsBuf    []int // joiner identities handed to the one-shot core
 	rankedBuf []rankedJoin
 
@@ -222,9 +216,6 @@ type Service struct {
 	peakLive int
 
 	// Cumulative counters over the service lifetime.
-	totalJoined   int64
-	totalFailed   int64
-	totalReleased int64
 	totalRecycled int64
 	totalAborts   int64
 }
@@ -242,7 +233,6 @@ func New(cfg Config) (*Service, error) {
 	return &Service{
 		cfg:       cfg,
 		free:      free,
-		owner:     make([]int32, cfg.Capacity+1),
 		names:     make(map[int]int),
 		uses:      make([]uint32, cfg.Capacity+1),
 		deltaAdd:  make(map[int]struct{}),
@@ -287,8 +277,8 @@ func (s *Service) LiveClients() []int {
 
 // Snapshot returns a copy of the committed client → name mapping. It is
 // O(live) — a caller/oracle convenience for state comparison, not a
-// hot-path helper: the service itself never snapshots (rollback is the
-// O(touched) undo journal, see journal.go).
+// hot-path helper: the service itself never snapshots, because an epoch
+// that aborts has written nothing.
 func (s *Service) Snapshot() map[int]int {
 	out := make(map[int]int, len(s.names))
 	for c, n := range s.names {
@@ -300,7 +290,7 @@ func (s *Service) Snapshot() map[int]int {
 // Recycled returns the cumulative count of recycled grants.
 func (s *Service) Recycled() int64 { return s.totalRecycled }
 
-// Aborts returns the cumulative count of rolled-back epochs.
+// Aborts returns the cumulative count of aborted epochs.
 func (s *Service) Aborts() int64 { return s.totalAborts }
 
 // liveJoin and liveLeave apply one committed membership edit to the
@@ -362,13 +352,16 @@ func (s *Service) materializeLive() {
 	clear(s.deltaDel)
 }
 
-// RunEpoch executes one epoch: release the leavers' names, run the
-// one-shot protocol over the join batch, map surviving ranks onto
-// free-list pops, and commit — or roll the whole epoch back when the
-// one-shot run leaves the guarantee envelope. Request-stream errors
-// (an unknown leaver, a duplicate or out-of-range joiner) are caller
-// bugs and return an error with no state change; protocol-level
-// failures abort and roll back instead.
+// RunEpoch executes one epoch in four steps: validate the request
+// stream, run the one-shot protocol over the join batch, decide whether
+// the epoch commits, and only then apply it — release the leavers'
+// names and map surviving ranks onto free-list pops. The one-shot run
+// reads only the join batch, the epoch seed and the fault hook, so
+// every abort reason is known before the first table write and an
+// aborted epoch has nothing to undo. Request-stream errors (an unknown
+// leaver, a duplicate or out-of-range joiner) are caller bugs and
+// return an error with no state change; protocol-level failures abort
+// the epoch instead.
 func (s *Service) RunEpoch(joins []Client, leaves []int) (*EpochResult, error) {
 	epoch := s.epoch
 	res := &EpochResult{
@@ -381,53 +374,14 @@ func (s *Service) RunEpoch(joins []Client, leaves []int) (*EpochResult, error) {
 	if err := s.validateRequests(joins, leaves); err != nil {
 		return nil, fmt.Errorf("service: epoch %d: %w", epoch, err)
 	}
-	// Copy the leave batch: the caller may have passed (a slice of) the
-	// live view, whose backing array the next materialization reuses.
-	s.leavesBuf = append(s.leavesBuf[:0], leaves...)
-	leaves = s.leavesBuf
 	s.epoch++
 
-	s.jnl.reset()
-	abort := func(reason string) *EpochResult {
-		s.rollbackJournal()
-		s.totalAborts++
-		res.Aborted = true
-		res.AbortReason = reason
-		res.Assignments = nil
-		res.Released = nil
-		res.Joined = 0
-		res.FailedJoins = 0
-		res.Recycled = 0
-		s.fillPopulation(res)
-		return res
-	}
-
-	// Leaves first: an epoch may recycle the names it just released.
-	if len(leaves) > 0 {
-		res.Released = make([]Release, 0, len(leaves))
-	}
-	for _, client := range leaves {
-		name := s.names[client]
-		s.jnl.record(opNamesSet, client, name)
-		delete(s.names, client)
-		s.jnl.record(opOwner, name, int(s.owner[name]))
-		s.owner[name] = 0
-		s.jnl.record(opLiveLeave, client, 0)
-		s.liveLeave(client)
-		prevSlot := s.free.TailSlot()
-		if err := s.free.Push(name); err != nil {
-			// Unreachable when the tables are consistent; surface loudly.
-			s.rollbackJournal()
-			return nil, fmt.Errorf("service: epoch %d: %w", epoch, err)
-		}
-		s.jnl.record(opFreePush, int(prevSlot), 0)
-		res.Released = append(res.Released, Release{Client: client, Name: name})
-	}
-
+	// Survivors in rank order; rank order is pop order, so the i-th
+	// ranked joiner receives the i-th oldest free name.
+	survivors := s.rankedBuf[:0]
 	if len(joins) > 0 {
 		oneShot, err := s.runOneShot(epoch, joins)
 		if err != nil {
-			s.rollbackJournal()
 			return nil, fmt.Errorf("service: epoch %d: %w", epoch, err)
 		}
 		res.Rounds = oneShot.Rounds
@@ -441,64 +395,67 @@ func (s *Service) RunEpoch(joins []Client, leaves []int) (*EpochResult, error) {
 		res.Unique = oneShot.Unique
 		res.AssumptionHolds = oneShot.AssumptionHolds
 		res.RoundStats = oneShot.RoundStats
-		if !oneShot.Unique {
-			return abort("one-shot run violated strong renaming"), nil
-		}
-		if s.cfg.Core == CoreByzantine && !oneShot.AssumptionHolds {
-			return abort("committee assumption broken"), nil
-		}
-
-		// Survivors in rank order; rank order is pop order, so the i-th
-		// ranked joiner receives the i-th oldest free name.
-		survivors := s.rankedBuf[:0]
 		for link, rank := range oneShot.NewIDByLink {
 			if rank >= 1 {
 				survivors = append(survivors, rankedJoin{link: link, rank: rank})
 			}
 		}
-		s.rankedBuf = survivors
 		sort.Slice(survivors, func(a, b int) bool { return survivors[a].rank < survivors[b].rank })
-		if len(survivors) > s.free.Len() {
-			return abort(fmt.Sprintf("free list drained: %d survivors, %d free names", len(survivors), s.free.Len())), nil
-		}
-		if len(survivors) > 0 {
-			res.Assignments = make([]Assignment, 0, len(survivors))
-		}
-		for _, sv := range survivors {
-			name, ok := s.free.Pop()
-			if !ok {
-				return abort("free list drained mid-commit"), nil
-			}
-			s.jnl.record(opFreePop, 0, 0)
-			client := joins[sv.link].ID
-			if s.uses[name] > 0 {
-				res.Recycled++
-				s.totalRecycled++
-			}
-			// uses is deliberately not journaled: an abort keeps the grant
-			// count (see journal.go).
-			s.uses[name]++
-			s.jnl.record(opOwner, name, int(s.owner[name]))
-			s.owner[name] = int32(client)
-			s.jnl.record(opNamesDel, client, 0)
-			s.names[client] = name
-			s.jnl.record(opLiveJoin, client, 0)
-			s.liveJoin(client)
-			res.Assignments = append(res.Assignments, Assignment{Client: client, Name: name, Rank: sv.rank})
-		}
-		res.Joined = len(survivors)
-		res.FailedJoins = len(joins) - len(survivors)
+	}
+	s.rankedBuf = survivors
+
+	// Decide. The leavers' names count as free: the apply step releases
+	// them before it pops, so an epoch may recycle the names it frees.
+	free := s.free.Len() + len(leaves)
+	switch {
+	case !res.Unique:
+		res.AbortReason = "one-shot run violated strong renaming"
+	case s.cfg.Core == CoreByzantine && !res.AssumptionHolds:
+		res.AbortReason = "committee assumption broken"
+	case len(survivors) > free:
+		res.AbortReason = fmt.Sprintf("free list drained: %d survivors, %d free names", len(survivors), free)
+	}
+	if res.AbortReason != "" {
+		s.totalAborts++
+		res.Aborted = true
+		s.fillPopulation(res)
+		return res, nil
 	}
 
-	if s.cfg.FailEpoch != nil && s.cfg.FailEpoch(epoch) {
-		return abort("fault injection"), nil
+	// Apply. Nothing below can fail on consistent tables, so an error
+	// here is an internal bug, not an abort.
+	if len(leaves) > 0 {
+		res.Released = make([]Release, 0, len(leaves))
 	}
-
-	// Commit: the journal's before-images are dead weight now.
-	s.jnl.reset()
-	s.totalJoined += int64(res.Joined)
-	s.totalFailed += int64(res.FailedJoins)
-	s.totalReleased += int64(len(res.Released))
+	for _, client := range leaves {
+		name := s.names[client]
+		delete(s.names, client)
+		s.liveLeave(client)
+		if err := s.free.Push(name); err != nil {
+			return nil, fmt.Errorf("service: epoch %d: internal error: %w", epoch, err)
+		}
+		res.Released = append(res.Released, Release{Client: client, Name: name})
+	}
+	if len(survivors) > 0 {
+		res.Assignments = make([]Assignment, 0, len(survivors))
+	}
+	for _, sv := range survivors {
+		name, ok := s.free.Pop()
+		if !ok {
+			return nil, fmt.Errorf("service: epoch %d: internal error: free list drained mid-commit", epoch)
+		}
+		client := joins[sv.link].ID
+		if s.uses[name] > 0 {
+			res.Recycled++
+			s.totalRecycled++
+		}
+		s.uses[name]++
+		s.names[client] = name
+		s.liveJoin(client)
+		res.Assignments = append(res.Assignments, Assignment{Client: client, Name: name, Rank: sv.rank})
+	}
+	res.Joined = len(survivors)
+	res.FailedJoins = len(joins) - len(survivors)
 	if len(s.names) > s.peakLive {
 		s.peakLive = len(s.names)
 	}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -119,16 +121,13 @@ func TestServiceEmptyAndSingletonEpochs(t *testing.T) {
 	}
 }
 
-// TestServiceRollbackExact forces an abort mid-trace (after leaves and
-// the one-shot run have mutated state) and requires the rollback to
-// restore every observable: the mapping, the live view, and the free
-// list's exact FIFO order.
+// TestServiceRollbackExact aborts an epoch that also releases two
+// leavers — its join batch outgrows the free list even counting the
+// names they free — and requires every observable to match the
+// pre-epoch state: the mapping, the live view, and the free list's
+// exact FIFO order.
 func TestServiceRollbackExact(t *testing.T) {
-	fail := false
-	svc := newTestService(t, Config{
-		Capacity: 8, Seed: 11,
-		FailEpoch: func(epoch int) bool { return fail },
-	})
+	svc := newTestService(t, Config{Capacity: 8, Seed: 11})
 	if _, err := svc.RunEpoch([]Client{{ID: 3}, {ID: 9}, {ID: 12}, {ID: 40}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +137,20 @@ func TestServiceRollbackExact(t *testing.T) {
 
 	wantMap := svc.Snapshot()
 	wantLive := append([]int(nil), svc.LiveClients()...)
-	wantFree := append([]int32(nil), svc.free.slots...)
-	wantHead, wantTail := svc.free.head, svc.free.tail
-	wantHP, wantTP := svc.free.headPhase, svc.free.tailPhase
+	wantFree := svc.free.Checkpoint()
 	aborts := svc.Aborts()
 
-	fail = true
-	res, err := svc.RunEpoch([]Client{{ID: 100}, {ID: 101}}, []int{3, 77})
+	// Three live clients and five free names: after the two leavers
+	// release theirs, seven names cover at most seven of eight joiners.
+	joins := make([]Client, 8)
+	for i := range joins {
+		joins[i] = Client{ID: 100 + i}
+	}
+	res, err := svc.RunEpoch(joins, []int{3, 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fail = false
-	if !res.Aborted || res.AbortReason != "fault injection" {
+	if !res.Aborted || res.AbortReason != "free list drained: 8 survivors, 7 free names" {
 		t.Fatalf("epoch did not abort: %+v", res)
 	}
 	if len(res.Assignments) != 0 || len(res.Released) != 0 || res.Joined != 0 {
@@ -160,18 +161,16 @@ func TestServiceRollbackExact(t *testing.T) {
 	}
 
 	if got := svc.Snapshot(); !reflect.DeepEqual(got, wantMap) {
-		t.Errorf("mapping after rollback: %v, want %v", got, wantMap)
+		t.Errorf("mapping after abort: %v, want %v", got, wantMap)
 	}
 	if gotLive := append([]int(nil), svc.LiveClients()...); !reflect.DeepEqual(gotLive, wantLive) {
-		t.Errorf("live view after rollback: %v, want %v", gotLive, wantLive)
+		t.Errorf("live view after abort: %v, want %v", gotLive, wantLive)
 	}
-	if !reflect.DeepEqual(svc.free.slots, wantFree) ||
-		svc.free.head != wantHead || svc.free.tail != wantTail ||
-		svc.free.headPhase != wantHP || svc.free.tailPhase != wantTP {
-		t.Error("free list after rollback differs from the pre-epoch checkpoint")
+	if got := svc.free.Checkpoint(); !reflect.DeepEqual(got, wantFree) {
+		t.Errorf("free list after abort: %+v, want the pre-epoch %+v", got, wantFree)
 	}
 
-	// The service keeps working after a rollback; the aborted epoch's
+	// The service keeps working after an abort; the aborted epoch's
 	// number is consumed (epoch indices stay aligned with the trace).
 	if svc.Epoch() != 3 {
 		t.Fatalf("epoch counter %d after abort, want 3", svc.Epoch())
@@ -186,7 +185,8 @@ func TestServiceRollbackExact(t *testing.T) {
 }
 
 // TestServiceAbortsWhenFreeListDrained joins past the capacity in one
-// batch and requires the drained-free-list abort plus full rollback.
+// batch and requires the drained-free-list abort with the population
+// unchanged.
 func TestServiceAbortsWhenFreeListDrained(t *testing.T) {
 	svc := newTestService(t, Config{Capacity: 2, Seed: 5})
 	if _, err := svc.RunEpoch([]Client{{ID: 1}, {ID: 2}}, nil); err != nil {
@@ -200,7 +200,7 @@ func TestServiceAbortsWhenFreeListDrained(t *testing.T) {
 		t.Fatalf("overfull epoch: %+v", res)
 	}
 	if svc.Live() != 2 || svc.FreeNames() != 0 {
-		t.Fatalf("population after rollback: live=%d free=%d", svc.Live(), svc.FreeNames())
+		t.Fatalf("population after abort: live=%d free=%d", svc.Live(), svc.FreeNames())
 	}
 }
 
@@ -223,6 +223,50 @@ func TestServiceByzantineCore(t *testing.T) {
 				t.Fatalf("ranks not order-preserving: %+v vs %+v", a, b)
 			}
 		}
+	}
+}
+
+// TestSizesBeyondInt32AreErrors checks that both withDefaults reject a
+// size the int32 free list or identity permutation cannot hold, before
+// a default is derived from it. Only withDefaults runs: New and
+// NewTraceDriver would allocate gigabytes for the accepted rows.
+func TestSizesBeyondInt32AreErrors(t *testing.T) {
+	const over = math.MaxInt32 + 1
+	check := func(what string, err error, want string) {
+		t.Helper()
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("%s: %v", what, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: error %v, want one containing %q", what, err, want)
+		}
+	}
+	configs := []struct {
+		cfg  Config
+		want string // "" accepts
+	}{
+		{Config{Capacity: math.MaxInt32}, ""},
+		{Config{Capacity: over}, "capacity 2147483648 above 2147483647"},
+		{Config{Capacity: 1 << 62}, "capacity 4611686018427387904 above 2147483647"},
+	}
+	for _, tc := range configs {
+		_, err := tc.cfg.withDefaults()
+		check(fmt.Sprintf("Config{Capacity: %d}", tc.cfg.Capacity), err, tc.want)
+	}
+	traces := []struct {
+		spec TraceSpec
+		want string
+	}{
+		{TraceSpec{Capacity: 8, BigN: math.MaxInt32}, ""},
+		{TraceSpec{Capacity: over}, "trace capacity 2147483648 above 2147483647"},
+		// The default N of 16·Capacity wrapped to 0 here.
+		{TraceSpec{Capacity: 1 << 62}, "trace capacity 4611686018427387904 above 2147483647"},
+		{TraceSpec{Capacity: 8, BigN: over}, "trace namespace N=2147483648 above 2147483647"},
+		{TraceSpec{Capacity: 1 << 28}, "trace namespace N=4294967296 above 2147483647"},
+	}
+	for _, tc := range traces {
+		_, err := tc.spec.withDefaults()
+		check(fmt.Sprintf("TraceSpec{Capacity: %d, BigN: %d}", tc.spec.Capacity, tc.spec.BigN), err, tc.want)
 	}
 }
 

@@ -57,8 +57,9 @@ func TestCrashMemorySmoke(t *testing.T) {
 // long-lived service: at Capacity=2^20 with a fixed 128-client batch,
 // steady-state epochs must allocate O(batch), not O(Capacity). The
 // snapshot-rollback design copied the 4 MB owner table plus the 4 MB
-// free-list ring every epoch (≥8 MB/epoch); the undo journal and lazy
-// live view bring an epoch down to the one-shot run's own footprint.
+// free-list ring every epoch (≥8 MB/epoch); an epoch now decides before
+// it writes and touches only its batch, and with the lazy live view it
+// costs the one-shot run's own footprint.
 // The 2 MB/epoch ceiling sits far above the measured steady state but
 // well under one snapshot, so it trips on any reintroduced full-state
 // copy. Shares the RENAMING_MEMSMOKE=1 gate and CI job with the crash
