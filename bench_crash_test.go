@@ -13,11 +13,14 @@ import (
 // the crash-resilient algorithm's hot path — the three-round committee
 // schedule (notify broadcast, status fan-in, committee halving) with a
 // Θ(log n) committee serving all n nodes — at the scales the
-// Theorem 1.2 sweeps run at. Allocations should stay O(committee): the
-// idle majority is elided by schedule quiescence, statuses and
-// responses travel in reused payload boxes, and the committee's rank
-// computation reuses grouped scratch. The CI bench-smoke job runs this
-// at -benchtime 1x to catch crash-path performance regressions.
+// Theorem 1.2 sweeps run at. Every live node steps every round, but
+// both halves of the convergecast are shared: each node's status and
+// each committee member's response batch travel as one ToSet entry, so
+// a round's engine work is O(n + K), and allocations stay
+// O(committee): payload boxes and batches are reused across phases and
+// the committee's rank computation reuses grouped scratch. The CI
+// bench-smoke job runs this at -benchtime 1x to catch crash-path
+// performance regressions.
 func BenchmarkCrashStepRound(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096, 16384} {
 		n := n

@@ -162,15 +162,11 @@ type CrashNode struct {
 
 	// codec and the payload arenas hold the bit-packed wire
 	// representation (see crashCodec): the one status box multicast each
-	// phase, and the committee member's response arena.
+	// phase, and the committee member's own response batch, sent when its
+	// inbox was a per-recipient view instead of the shared aggregate's.
 	codec           crashCodec
 	packedStatusBox PackedStatus
-	packedRespBuf   []PackedResponse
-
-	// plan is the node's private committee computation, used when this
-	// member's inbox is not the shared aggregate view (eager-multicast
-	// ablation, or a mid-send filter gave it a per-recipient merged view).
-	plan committeePlan
+	batch           PackedResponses
 }
 
 var _ sim.Node = (*CrashNode)(nil)
@@ -363,12 +359,41 @@ type committeePlan struct {
 	botAcc    map[interval.Interval]int
 
 	// Outputs: respBase[j] is the response for statuses[j] with P left
-	// zero (stamped per member at emit time), addressed to links[j].
+	// zero (stamped when the batch is encoded), addressed to links[j]
+	// (ascending: the inbox is in sender order).
 	respBase []ResponsePayload
 	links    []int32
 	// maxP is the maximum p carried by any status (Figure 1 line 10);
 	// each member adopts max(own p, maxP).
 	maxP int
+
+	members []int // intern scratch: links as InternPhase takes them
+}
+
+// planPool lends committee plans to members on the private path. Only a
+// mid-send filter (or WithEagerMulticast) puts a member there, and the
+// plan is dead once its batch is encoded, so one plan per concurrent
+// Step replaces an O(n) plan kept by every node that ever took the path.
+var planPool = sync.Pool{New: func() any { return new(committeePlan) }}
+
+// intern registers the plan's links as this phase's response set, so a
+// batch over them travels as one ToSet entry; ok is false when the
+// registry is nil or holds a different set under the key. The key sets
+// the top bit over the phase, so it never equals a status key (the bare
+// phase). Links from all n nodes — every failure-free phase — are the
+// universal set the registry pre-interns as set 0, which costs nothing.
+func (pl *committeePlan) intern(sets *sim.Sets, round, n int) (id int, ok bool) {
+	if sets == nil {
+		return 0, false
+	}
+	if len(pl.links) == n {
+		return 0, true // strictly ascending in [0, n): exactly [0, n)
+	}
+	pl.members = pl.members[:0]
+	for _, link := range pl.links {
+		pl.members = append(pl.members, int(link))
+	}
+	return sets.InternPhase(1<<63|uint64(round/3), pl.members)
 }
 
 // compute fills the plan from a committee round's inbox. It implements
@@ -578,13 +603,23 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 // In a committee round every member receives the same n statuses; when
 // the engine bound them all to one shared aggregate view the inbox
 // slice identity is shared too, and the first member to step computes
-// the plan once for everyone. It also carries a shared response arena:
-// the first member to stamp encodes the responses with its adopted p,
-// and every member whose p matches (the common case — they all adopt
-// the same maximum) reuses the same payload boxes, so a recipient sees
-// K responses carrying one box and decodes it once. Members whose p or
-// inbox diverged fall back to private encoding — the per-recipient
-// delta path.
+// the plan once for everyone, encodes its one response batch and interns
+// the batch's links as the phase's response set. Every member then sends
+// that batch as a single ToSet entry, so the engine stores K entries for
+// the K·n responses and a recipient decodes one batch.
+//
+// The batch is stamped with the plan's maxP, the p every bound member
+// adopts: a member bound to the shared view sent its own status into it
+// (it receives its own Notify, and a member whose committee view
+// diverged sent its status explicitly, which makes its own inbox a
+// merged view), so its p is at most maxP.
+//
+// Lifetimes: the plan, its links and the batch are written in committee
+// round 3k+2, read by recipients in round 3k+3, and rewritten no earlier
+// than the next committee round 3k+5 — the engine's one-round slack with
+// a round to spare. Statuses intern one canonical set per phase, so a
+// round has at most one shared status view and the plan is computed at
+// most once per round.
 type committeeAggregate struct {
 	mu    sync.Mutex
 	round int
@@ -592,16 +627,16 @@ type committeeAggregate struct {
 	n     int
 	valid bool
 	plan  committeePlan
-
-	encoded   bool
-	encP      int // p stamped into the shared arena
-	packedBuf []PackedResponse
+	batch PackedResponses
+	setID int  // the batch's response set
+	setOK bool // false: not interned, send explicitly
 }
 
 // committeeAction implements Figure 2 for one member. The inbox-pure
 // plan is computed by committeePlan.compute — through the shared
 // aggregate when this member's inbox is the shared bound view (all
-// entries keep the sender's ToSet sentinel), privately otherwise.
+// entries keep the sender's ToSet sentinel), privately otherwise, on a
+// plan borrowed from planPool for this Step.
 func (node *CrashNode) committeeAction(round int, inbox []sim.Message) sim.Outbox {
 	if len(inbox) == 0 {
 		return nil
@@ -613,7 +648,8 @@ func (node *CrashNode) committeeAction(round int, inbox []sim.Message) sim.Outbo
 	if node.agg != nil && inbox[0].To < 0 {
 		return node.committeeShared(round, inbox)
 	}
-	pl := &node.plan
+	pl := planPool.Get().(*committeePlan)
+	defer planPool.Put(pl)
 	pl.compute(&node.codec, node.cfg, node.n, inbox)
 	if len(pl.respBase) == 0 {
 		return nil
@@ -621,78 +657,55 @@ func (node *CrashNode) committeeAction(round int, inbox []sim.Message) sim.Outbo
 	if pl.maxP > node.p {
 		node.p = pl.maxP
 	}
-	return node.emitResponses(pl)
+	// Recipients read the batch's links next round, after the plan has
+	// gone back to the pool: copy them into storage this member owns.
+	node.batch.links = append(node.batch.links[:0], pl.links...)
+	node.codec.encodeBatch(&node.batch, pl.respBase, node.p)
+	id, ok := pl.intern(node.sets, round, node.n)
+	return node.emitBatch(&node.batch, id, ok)
 }
 
 // committeeShared runs the member's committee round over the shared
-// aggregate: plan computed once per (round, view), responses encoded
-// once for the common adopted p, headers built per member.
+// aggregate: plan computed, batch encoded and links interned once per
+// (round, view).
 func (node *CrashNode) committeeShared(round int, inbox []sim.Message) sim.Outbox {
 	agg := node.agg
 	agg.mu.Lock()
 	if !agg.valid || agg.round != round || agg.key != &inbox[0] || agg.n != len(inbox) {
 		agg.round, agg.key, agg.n = round, &inbox[0], len(inbox)
-		agg.plan.compute(&node.codec, node.cfg, node.n, inbox)
-		agg.encoded = false
+		pl := &agg.plan
+		pl.compute(&node.codec, node.cfg, node.n, inbox)
+		agg.batch.links = pl.links
+		node.codec.encodeBatch(&agg.batch, pl.respBase, pl.maxP)
+		agg.setID, agg.setOK = pl.intern(node.sets, round, node.n)
 		agg.valid = true
 	}
-	pl := &agg.plan
-	if len(pl.respBase) == 0 {
-		agg.mu.Unlock()
+	empty := len(agg.plan.respBase) == 0
+	maxP, id, ok := agg.plan.maxP, agg.setID, agg.setOK
+	agg.mu.Unlock()
+	if empty {
 		return nil
 	}
-	if pl.maxP > node.p {
-		node.p = pl.maxP
+	if node.p > maxP {
+		panic(fmt.Sprintf("core: committee member %d has p=%d above its shared view's maximum %d", node.idx, node.p, maxP))
 	}
-	if !agg.encoded {
-		// First member to stamp encodes the shared arena with its p. All
-		// members adopt max(own p, maxP), so in the common uniform-p case
-		// everyone reuses these boxes.
-		agg.encP = node.p
-		if cap(agg.packedBuf) < len(pl.respBase) {
-			agg.packedBuf = make([]PackedResponse, len(pl.respBase))
-		}
-		buf := agg.packedBuf[:len(pl.respBase)]
-		for j, resp := range pl.respBase {
-			resp.P = node.p
-			buf[j] = node.codec.encodeResponse(resp)
-		}
-		agg.packedBuf = buf
-		agg.encoded = true
-	}
-	reuse := agg.encP == node.p
-	agg.mu.Unlock()
-	// Past this point the plan and arena are immutable for the rest of
-	// the round (the next rewrite is the next committee round, three
-	// engine barriers away), so headers are built outside the lock.
-	if !reuse {
-		// This member adopted a different p than the stamping member —
-		// encode a private arena (the rare per-member delta).
-		return node.emitResponses(pl)
-	}
-	out := node.outBuf[:0]
-	for j := range pl.respBase {
-		out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &agg.packedBuf[j]})
-	}
-	node.outBuf = out
-	return out
+	node.p = maxP
+	return node.emitBatch(&agg.batch, id, ok)
 }
 
-// emitResponses stamps the member's p into the plan's response
-// decisions and encodes them into the node-owned arena; recipients read
-// the boxes next round, before the next committee round rewrites them.
-func (node *CrashNode) emitResponses(pl *committeePlan) sim.Outbox {
+// emitBatch sends the member's response batch to its links: one ToSet
+// entry when they are interned as this phase's response set (ok),
+// otherwise one explicit message per link, ascending — the order the
+// engine expands a ToSet entry in — every one carrying the same batch.
+func (node *CrashNode) emitBatch(b *PackedResponses, id int, ok bool) sim.Outbox {
 	out := node.outBuf[:0]
-	if cap(node.packedRespBuf) < len(pl.respBase) {
-		node.packedRespBuf = make([]PackedResponse, len(pl.respBase))
+	if ok {
+		out = append(out, sim.Message{From: node.idx, To: sim.ToSet(id), Payload: b})
+	} else {
+		for _, link := range b.links {
+			out = append(out, sim.Message{From: node.idx, To: int(link), Payload: b})
+		}
 	}
-	packedBuf := node.packedRespBuf[:len(pl.respBase)]
-	for j, resp := range pl.respBase {
-		resp.P = node.p
-		packedBuf[j] = node.codec.encodeResponse(resp)
-		out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &packedBuf[j]})
-	}
-	node.packedRespBuf = packedBuf
 	node.outBuf = out
 	return out
 }
@@ -712,22 +725,20 @@ func (node *CrashNode) nodeAction(round int, inbox []sim.Message) {
 	haveBest := false
 	maxP := node.p
 	sawDone := false
-	// Committee members that reused the shared response arena all sent
-	// this node the same payload box; decode it once.
-	var lastPacked *PackedResponse
-	var lastDec ResponsePayload
+	// Committee members that sent the shared batch all sent this node
+	// the same pointer. A batch read again would change nothing (best, maxP
+	// and sawDone are idempotent in a repeated response), so a repeat of
+	// the last batch is skipped; a batch is read only at this node's own
+	// link.
+	var last *PackedResponses
 	for _, msg := range inbox {
-		p, ok := msg.Payload.(*PackedResponse)
-		if !ok {
+		b, ok := msg.Payload.(*PackedResponses)
+		if !ok || b == last {
 			continue
 		}
+		last = b
 		var r ResponsePayload
-		if p == lastPacked {
-			r = lastDec
-		} else {
-			node.codec.decodeResponse(p, &r)
-			lastPacked, lastDec = p, r
-		}
+		node.codec.decodeResponse(b.at(node.idx), &r)
 		if !haveBest || r.D > best.D || (r.D == best.D && interval.Less(r.I, best.I)) {
 			best = r
 			haveBest = true

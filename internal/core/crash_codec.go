@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"renaming/internal/bitvec"
 	"renaming/internal/interval"
 	"renaming/internal/sim"
@@ -71,20 +74,58 @@ func (PackedStatus) Kind() string { return KindStatus }
 // Bits implements sim.Payload.
 func (p PackedStatus) Bits() int { return int(p.bits) }
 
-// PackedResponse is the wire form of ResponsePayload (PackedStatus plus
-// the early-stop Done flag).
+// PackedResponse is the packed form of one ResponsePayload (the status
+// fields plus the early-stop Done flag). It travels only inside a
+// PackedResponses batch, which carries the billed width.
 type PackedResponse struct {
 	w0, w1 uint64
-	bits   uint16
 }
 
-var _ sim.Payload = PackedResponse{}
+// PackedResponses is one committee member's response batch for a
+// phase: the packed decision for every status sender, one per link. It
+// travels as a single ToSet entry over its links (or, where the set is
+// not interned, as one explicit message per link, all carrying the same
+// batch), and the engine bills it per recipient as one response-width
+// wire message — Kind and Bits are those of a single ResponsePayload — so
+// every metric counts exactly what per-link responses would. Contract: a
+// recipient reads only the entry at its own link.
+type PackedResponses struct {
+	links []int32 // status senders, strictly ascending
+	resp  []PackedResponse
+	bits  uint16
+}
+
+var _ sim.Payload = (*PackedResponses)(nil)
 
 // Kind implements sim.Payload.
-func (PackedResponse) Kind() string { return KindResponse }
+func (*PackedResponses) Kind() string { return KindResponse }
 
-// Bits implements sim.Payload.
-func (p PackedResponse) Bits() int { return int(p.bits) }
+// Bits implements sim.Payload: the billed width of one response.
+func (b *PackedResponses) Bits() int { return int(b.bits) }
+
+// at returns the response addressed to link. A batch reaches only the
+// links it holds, so a miss is a delivery fault.
+func (b *PackedResponses) at(link int) *PackedResponse {
+	j, ok := slices.BinarySearch(b.links, int32(link))
+	if !ok {
+		panic(fmt.Sprintf("core: response batch holds no entry for link %d", link))
+	}
+	return &b.resp[j]
+}
+
+// encodeBatch stamps p into the decisions and packs them into b's arena,
+// reusing its capacity; the caller sets b.links.
+func (c *crashCodec) encodeBatch(b *PackedResponses, decisions []ResponsePayload, p int) {
+	if cap(b.resp) < len(decisions) {
+		b.resp = make([]PackedResponse, len(decisions))
+	}
+	b.resp = b.resp[:len(decisions)]
+	for j, r := range decisions {
+		r.P = p
+		b.resp[j] = c.encodeResponse(r)
+	}
+	b.bits = c.responseBits
+}
 
 func (c *crashCodec) encodeStatus(s StatusPayload) PackedStatus {
 	w := bitvec.NewWriter(c.scratch[:0])
@@ -121,7 +162,7 @@ func (c *crashCodec) encodeResponse(s ResponsePayload) PackedResponse {
 	w.Append(uint64(s.P), c.pcBits)
 	w.AppendBool(s.Done)
 	words := w.Words()
-	out := PackedResponse{w0: words[0], bits: c.responseBits}
+	out := PackedResponse{w0: words[0]}
 	if len(words) > 1 {
 		out.w1 = words[1]
 	}

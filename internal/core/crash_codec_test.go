@@ -50,12 +50,13 @@ func TestCrashCodecRoundTrip(t *testing.T) {
 			ID: s.ID, I: s.I, D: s.D, P: s.P, Done: rng.Intn(2) == 0,
 			SizeN: cfg.N, SizeSmallN: n,
 		}
-		pr := c.encodeResponse(r)
-		if pr.Bits() != r.Bits() {
-			t.Fatalf("trial %d: packed response bills %d bits, struct bills %d", trial, pr.Bits(), r.Bits())
+		var b PackedResponses
+		c.encodeBatch(&b, []ResponsePayload{r}, r.P)
+		if b.Bits() != r.Bits() {
+			t.Fatalf("trial %d: response batch bills %d bits, struct bills %d", trial, b.Bits(), r.Bits())
 		}
 		var rback ResponsePayload
-		c.decodeResponse(&pr, &rback)
+		c.decodeResponse(&b.resp[0], &rback)
 		if rback != r {
 			t.Fatalf("trial %d: response round-trip %+v != %+v", trial, rback, r)
 		}
@@ -68,8 +69,8 @@ func TestCrashCodecKinds(t *testing.T) {
 	if (PackedStatus{}).Kind() != (StatusPayload{}).Kind() {
 		t.Fatal("packed status kind differs from struct kind")
 	}
-	if (PackedResponse{}).Kind() != (ResponsePayload{}).Kind() {
-		t.Fatal("packed response kind differs from struct kind")
+	if (&PackedResponses{}).Kind() != (ResponsePayload{}).Kind() {
+		t.Fatal("response batch kind differs from struct kind")
 	}
 	if (PackedNew{}).Kind() != KindNew {
 		t.Fatal("packed new kind differs from KindNew")
@@ -125,12 +126,13 @@ func FuzzCrashCodecRoundTrip(f *testing.F) {
 			Done:  done,
 			SizeN: cfg.N, SizeSmallN: n,
 		}
-		pr := c.encodeResponse(r)
-		if pr.Bits() != r.Bits() {
-			t.Fatalf("packed bills %d, struct bills %d", pr.Bits(), r.Bits())
+		var b PackedResponses
+		c.encodeBatch(&b, []ResponsePayload{r}, r.P)
+		if b.Bits() != r.Bits() {
+			t.Fatalf("batch bills %d, struct bills %d", b.Bits(), r.Bits())
 		}
 		var back ResponsePayload
-		c.decodeResponse(&pr, &back)
+		c.decodeResponse(&b.resp[0], &back)
 		if back != r {
 			t.Fatalf("round-trip %+v != %+v", back, r)
 		}

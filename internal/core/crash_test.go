@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"renaming/internal/adversary"
 	"renaming/internal/interval"
@@ -159,6 +160,36 @@ func TestCrashSmallCommittee(t *testing.T) {
 			}
 			nw, nodes := runCrash(t, cfg, adv)
 			checkUnique(t, nw, nodes)
+		}
+	}
+}
+
+// TestCrashInboxSlabsLinearInN pins the convergecast's representation,
+// not only its bytes: statuses and responses both travel as shared ToSet
+// entries, so a round's engine arenas hold O(n + K) messages, never the
+// K·n explicit responses. A run to completion must leave at most 4
+// messages of arena per node (the shared path needs 2.5: one status
+// segment of n per round parity, with 25% growth headroom). The burst
+// rows crash three nodes before the first round, so no phase's status
+// senders span all n links and every batch travels over the interned
+// response set instead of the universal one.
+func TestCrashInboxSlabsLinearInN(t *testing.T) {
+	msgSize := int64(unsafe.Sizeof(sim.Message{}))
+	for _, n := range []int{256, 1024, 4096} {
+		for _, burst := range []bool{false, true} {
+			cfg := seqConfig(n, 16*n, int64(n))
+			cfg.CommitteeScale = 0.02
+			var adv sim.CrashAdversary
+			if burst {
+				adv = &adversary.BurstCrash{Round: 0, Nodes: []int{1, n / 2, n - 1}}
+			}
+			nw, nodes := runCrash(t, cfg, adv)
+			checkUnique(t, nw, nodes)
+			got := nw.MemStats().InboxSlabBytes
+			if limit := 4 * int64(n) * msgSize; got > limit {
+				t.Errorf("n=%d burst=%v: inbox slabs hold %.1f messages per node, want at most 4",
+					n, burst, float64(got)/float64(msgSize*int64(n)))
+			}
 		}
 	}
 }

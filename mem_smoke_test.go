@@ -12,10 +12,10 @@ import (
 // TestCrashMemorySmoke is the CI peak-RSS smoke gate: a whole-run crash
 // execution at n=2^16 under the committee-killer adversary must stay
 // under a fixed live-heap ceiling. The ceiling is calibrated ~2× above
-// the measured peak of the slab-inbox engine (see docs/MEMORY.md for
-// the scaling model), so it trips on a regression that reintroduces
-// per-node O(n) state — per-node inbox slot arrays, materialized
-// per-round traces — without flaking on allocator noise. CI runs the
+// the measured peak with shared committee response batches (see
+// docs/MEMORY.md for the scaling model), so it trips on a regression
+// that reintroduces per-node O(n) state — per-node inbox slot arrays,
+// materialized per-round traces — without flaking on allocator noise. CI runs the
 // job under GOMEMLIMIT as a second, harder backstop: blowing the limit
 // turns into GC thrash and a timeout instead of a green run.
 //
@@ -26,7 +26,7 @@ func TestCrashMemorySmoke(t *testing.T) {
 		t.Skip("set RENAMING_MEMSMOKE=1 to run the memory smoke gate")
 	}
 	const n = 1 << 16
-	const ceilingMB = 4096.0 // measured peak ≈ 2.1 GB on the slab engine
+	const ceilingMB = 3072.0 // measured peak 1.36–1.52 GB (2.6 GB with per-link responses)
 
 	runtime.GC()
 	w := watchHeap()

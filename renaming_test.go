@@ -426,10 +426,15 @@ func TestRunByzantineValidation(t *testing.T) {
 
 // TestRejectsMalformedNumbersAndLinks: a malformed committee scale,
 // pool probability, Byzantine link or behaviour is an error, not a run
-// whose failure looks like the protocol's.
+// whose failure looks like the protocol's. So is a fault spec the
+// adversary would misread: unvalidated, each fault row runs to
+// completion, crashing too many nodes, too few, or none at all.
 func TestRejectsMalformedNumbersAndLinks(t *testing.T) {
 	crash := func(scale float64) func() (*Result, error) {
 		return func() (*Result, error) { return RunCrash(16, CrashSpec{Seed: 1, CommitteeScale: scale}) }
+	}
+	fault := func(f FaultSpec) func() (*Result, error) {
+		return func() (*Result, error) { return RunCrash(64, CrashSpec{Seed: 1, Fault: f}) }
 	}
 	byz := func(spec ByzSpec) func() (*Result, error) {
 		return func() (*Result, error) { spec.Seed = 1; return RunByzantine(16, spec) }
@@ -447,10 +452,33 @@ func TestRejectsMalformedNumbersAndLinks(t *testing.T) {
 		{"Byzantine link 99", byz(ByzSpec{Byzantine: map[int]Behavior{99: split}})},
 		{"Byzantine link -1", byz(ByzSpec{Byzantine: map[int]Behavior{-1: split}})},
 		{"undefined behavior", byz(ByzSpec{Byzantine: map[int]Behavior{3: Behavior(99)}})},
+		{"crash fault kind 99", fault(FaultSpec{Kind: 99})},
+		{"byzantine fault kind 99", func() (*Result, error) {
+			return RunByzantine(64, ByzSpec{Seed: 1, Fault: FaultSpec{Kind: 99, Budget: 3}})
+		}},
+		{"random fault prob NaN", fault(FaultSpec{Kind: FaultRandom, Budget: 5, Prob: math.NaN()})},
+		{"random fault prob -1", fault(FaultSpec{Kind: FaultRandom, Budget: 5, Prob: -1})},
+		{"killer budget -5", fault(FaultSpec{Kind: FaultCommitteeKiller, Budget: -5})},
+		{"burst nodes outside [0,n)", fault(FaultSpec{Kind: FaultBurst, Round: 3, Nodes: []int{3, 99, -1}})},
+		{"burst round -4", fault(FaultSpec{Kind: FaultBurst, Round: -4, Nodes: []int{3}})},
+		{"baseline fault kind 99", func() (*Result, error) {
+			return RunBaseline(64, BaselineSpec{Kind: BaselineAllToAllCrash, Seed: 1, Fault: FaultSpec{Kind: 99}})
+		}},
 	}
 	for _, tc := range cases {
 		if res, err := tc.run(); err == nil {
-			t.Errorf("%s: accepted (unique=%v, %d messages)", tc.name, res.Unique, res.Messages)
+			t.Errorf("%s: accepted (unique=%v, %d crashes, %d messages)", tc.name, res.Unique, res.Crashes, res.Messages)
+		}
+	}
+	// The zero fault Kind is the failure-free default, a probability
+	// above 1 clamps, and Custom takes precedence over every other field.
+	for _, f := range []FaultSpec{
+		{},
+		{Kind: FaultRandom, Budget: 5, Prob: 2},
+		{Kind: 99, Budget: -1, Prob: math.NaN(), Round: -1, Nodes: []int{-1}, Custom: sim.NoCrashes{}},
+	} {
+		if err := f.Validate(64); err != nil {
+			t.Errorf("%+v: %v", f, err)
 		}
 	}
 }

@@ -54,6 +54,9 @@ type BaselineSpec struct {
 
 // RunBaseline executes one of the Table 1 comparator algorithms.
 func RunBaseline(n int, spec BaselineSpec) (*Result, error) {
+	if err := spec.Fault.Validate(n); err != nil {
+		return nil, err
+	}
 	if spec.N == 0 {
 		spec.N = 16 * n
 	}

@@ -109,6 +109,9 @@ func RunByzantine(n int, spec ByzSpec) (*Result, error) {
 // runByzantine is RunByzantine over an optional engine pool; see runCrash
 // for the pooling contract.
 func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
+	if err := spec.Fault.Validate(n); err != nil {
+		return nil, err
+	}
 	if spec.N == 0 {
 		spec.N = 8 * n
 	}

@@ -3,6 +3,7 @@ package renaming
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"renaming/internal/adversary"
@@ -41,6 +42,36 @@ type FaultSpec struct {
 	// running sweeps must construct a fresh value per run (the campaign
 	// engine does this inside each point closure).
 	Custom sim.CrashAdversary
+}
+
+// Validate rejects a fault spec the adversary would misread instead of
+// running it: an unknown Kind (the zero Kind stays the failure-free
+// default), a negative Budget or Round, a NaN or negative Prob (above 1
+// it clamps, like ByzSpec.PoolProb), or a burst node outside [0, n).
+// Custom takes precedence over every other field, so none is checked
+// when it is set.
+func (spec FaultSpec) Validate(n int) error {
+	if spec.Custom != nil {
+		return nil
+	}
+	if spec.Kind < 0 || spec.Kind > FaultBurst {
+		return fmt.Errorf("renaming: unknown fault kind %d", spec.Kind)
+	}
+	if spec.Budget < 0 {
+		return fmt.Errorf("renaming: negative fault budget %d", spec.Budget)
+	}
+	if math.IsNaN(spec.Prob) || spec.Prob < 0 {
+		return fmt.Errorf("renaming: fault probability %v is not a non-negative number", spec.Prob)
+	}
+	if spec.Round < 0 {
+		return fmt.Errorf("renaming: negative fault round %d", spec.Round)
+	}
+	for _, v := range spec.Nodes {
+		if v < 0 || v >= n {
+			return fmt.Errorf("renaming: burst node %d outside [0,%d)", v, n)
+		}
+	}
+	return nil
 }
 
 func (spec FaultSpec) build(seed int64) sim.CrashAdversary {
@@ -107,8 +138,9 @@ type CrashSpec struct {
 	// (sim.WithEngineWorkers). Results are bit-identical at any setting;
 	// the determinism test locks a golden fingerprint at 1 and 8.
 	EngineWorkers int
-	// EagerMulticast disables the shared ToSet status multicast
-	// (sim.WithEagerMulticast), forcing explicit per-recipient messages.
+	// EagerMulticast disables the shared ToSet status multicast and
+	// committee response batches (sim.WithEagerMulticast), forcing
+	// explicit per-recipient messages.
 	// Results are bit-identical either way — the representation property
 	// test pins exactly that — so this is an ablation/testing knob.
 	EagerMulticast bool
@@ -125,6 +157,9 @@ func RunCrash(n int, spec CrashSpec) (*Result, error) {
 // its persistent engine (Session callers). Results are bit-identical
 // either way.
 func runCrash(n int, spec CrashSpec, pool *sim.Pool) (*Result, error) {
+	if err := spec.Fault.Validate(n); err != nil {
+		return nil, err
+	}
 	if spec.N == 0 {
 		spec.N = 16 * n
 	}

@@ -12,15 +12,17 @@ import (
 // the shared-multicast path: a full adversarial crash execution must
 // produce byte-identical telemetry — billed messages, billed bits, and
 // the JSON-marshalled Result including the per-round traffic profile —
-// whether the per-phase status convergecast travels as one shared ToSet
-// entry (delivered through the engine's aggregate layer and the shared
-// committee plan) or as eagerly-expanded per-recipient Multicast
-// messages. The committee killer with mid-send crashes drives the
-// divergence machinery: partial sends force ToSet expansion through the
-// crash filter, recipients with divergent committee views decline the
-// intern and fall back to explicit sends, and merged per-recipient
-// views take the committee's private-plan path. Billing is decoupled
-// from packing; this test pins that the packing is unobservable.
+// whether both halves of the per-phase convergecast travel as shared
+// ToSet entries (each node's status multicast, and each committee
+// member's response batch, delivered through the engine's aggregate
+// layer and the shared committee plan) or as eagerly-expanded
+// per-recipient messages. The committee killer with mid-send crashes
+// drives the divergence machinery: partial sends force ToSet expansion
+// through the crash filter, senders with divergent committee views or
+// response links decline the intern and fall back to explicit sends,
+// and merged per-recipient views take the committee's pooled
+// private-plan path. Billing is decoupled from packing; this test pins
+// that the packing is unobservable.
 func TestToSetMatchesEagerMulticast(t *testing.T) {
 	for _, seed := range []int64{11, 77} {
 		for _, workers := range []int{1, 8} {
