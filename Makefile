@@ -15,7 +15,7 @@ ci:
 	$(GO) test ./... -short -race
 	$(GO) test -run 'TestAllQuick$$' ./internal/experiments
 	$(GO) test -race ./internal/sim ./internal/service
-	$(GO) test -race -count=10 -run 'TestCrashDeterminism$$|TestToSetMatchesEagerMulticast$$' .
+	$(GO) test -race -count=10 -run 'TestCrashDeterminism$$|TestCrashSharedSendsMatchExplicit$$' . ./internal/core
 	$(GO) test -race -count=200 -run 'TestSinkFailureStopsScheduling$$' ./internal/runner
 	$(GO) test -run '^$$' -bench StepRound -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench ByzStepRound -benchtime 1x .
@@ -24,6 +24,7 @@ ci:
 	$(GO) run ./cmd/campaign -algo crash -n 64 -execs 50 -seed 1
 	$(GO) run ./cmd/campaign -search -algo crash -n 64 -budget-execs 48 -seed 1 -objective envelope
 	$(GO) run ./cmd/campaign -algo service -n 64 -execs 8 -seed 1
+	$(GO) run ./cmd/campaign -algo byzantine -n 48 -execs 200 -seed 2026 -gen byz-skew
 	$(GO) run ./cmd/campaign -search -algo byzantine -n 48 -budget-execs 16 -seed 1
 	$(GO) run ./cmd/renamed -n 256 -epochs 40 -faults 16 -seed 2
 	$(GO) run ./cmd/linkcheck

@@ -63,8 +63,6 @@ type Spec struct {
 	// PoolProb is passed through to the Byzantine algorithm; defaults
 	// to 20/N (the E5 pool).
 	PoolProb float64
-	// EarlyStop enables the crash algorithm's early-stopping extension.
-	EarlyStop bool
 	// Epochs is the trace length per execution (AlgoService only);
 	// defaults to 24.
 	Epochs int
@@ -424,8 +422,7 @@ func runOneShot(spec Spec, strat Strategy, seed int64) (runner.Metrics, *renamin
 	default:
 		res, err = renaming.RunCrash(spec.N, renaming.CrashSpec{
 			N: spec.BigN, IDs: ids, Seed: seed,
-			CommitteeScale: spec.CommitteeScale, EarlyStop: spec.EarlyStop,
-			Fault: strat.Fault(), Profile: true,
+			CommitteeScale: spec.CommitteeScale, Fault: strat.Fault(), Profile: true,
 		})
 	}
 	if err != nil {

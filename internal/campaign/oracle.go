@@ -91,7 +91,8 @@ type Expectation struct {
 	// survive (a lone correct node renames itself without a message).
 	CheckMessageFloor bool
 	// IterationCeiling bounds the Byzantine divide-and-conquer
-	// iterations (Lemma 3.10); 0 disables.
+	// iterations (Lemma 3.10); 0 disables. Lemma 3.10 assumes the
+	// committee bound, so OnlyWhenAssumptionHolds gates it too.
 	IterationCeiling int
 }
 
@@ -279,7 +280,7 @@ func (o Oracle) Check(n int, ids []int, res *renaming.Result) []Violation {
 			add(InvMessageFloor, "honest messages %d below the Ω(n) floor %d (Theorem 1.4)", res.HonestMessages, floor)
 		}
 	}
-	if c := o.Expect.IterationCeiling; c > 0 && res.Iterations > c {
+	if c := o.Expect.IterationCeiling; c > 0 && guaranteed && res.Iterations > c {
 		add(InvIterationCeiling, "iterations %d exceed the Lemma 3.10 bound %d", res.Iterations, c)
 	}
 	return out

@@ -138,14 +138,31 @@ func TestOracleMessageFloorNeedsTwoCorrectNodes(t *testing.T) {
 	}
 }
 
+// TestOracleDetectsIterationCeiling: Lemma 3.10 bounds the iterations
+// only under the committee assumption, so the ceiling is gated like
+// uniqueness and order: a run past it is flagged inside the assumption
+// and not outside.
 func TestOracleDetectsIterationCeiling(t *testing.T) {
 	o := Oracle{Expect: ByzantineExpectation(64, 2)}
-	over := res([]int{1, 2, 3, 4}, func(r *renaming.Result) {
-		r.AssumptionHolds = true
-		r.Iterations = o.Expect.IterationCeiling + 1
-	})
-	if !invariants(o.Check(4, []int{10, 20, 30, 40}, over))[InvIterationCeiling] {
-		t.Fatal("iteration ceiling breach not flagged")
+	c := o.Expect.IterationCeiling
+	cases := []struct {
+		name       string
+		holds      bool
+		iterations int
+		flagged    bool
+	}{
+		{"at the ceiling", true, c, false},
+		{"past the ceiling", true, c + 1, true},
+		{"past the ceiling, assumption broken", false, c + 1, false},
+	}
+	for _, tc := range cases {
+		r := res([]int{1, 2, 3, 4}, func(r *renaming.Result) {
+			r.AssumptionHolds = tc.holds
+			r.Iterations = tc.iterations
+		})
+		if got := invariants(o.Check(4, []int{10, 20, 30, 40}, r))[InvIterationCeiling]; got != tc.flagged {
+			t.Errorf("%s: iteration-ceiling flagged = %v, want %v", tc.name, got, tc.flagged)
+		}
 	}
 }
 

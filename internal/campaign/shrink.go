@@ -145,7 +145,6 @@ type ReproArtifact struct {
 	Seed           int64   `json:"seed"`
 	CommitteeScale float64 `json:"committeeScale,omitempty"`
 	PoolProb       float64 `json:"poolProb,omitempty"`
-	EarlyStop      bool    `json:"earlyStop,omitempty"`
 	// Epochs is the service-trace length (AlgoService artifacts only).
 	Epochs int `json:"epochs,omitempty"`
 	// Invariant and Detail describe the violation being reproduced.
@@ -194,7 +193,6 @@ func Shrink(spec Spec, v Violation) (*ReproArtifact, error) {
 		Version: ArtifactVersion,
 		Algo:    spec.Algo, N: spec.N, BigN: spec.BigN, Seed: v.Seed,
 		CommitteeScale: spec.CommitteeScale, PoolProb: spec.PoolProb,
-		EarlyStop: spec.EarlyStop,
 		Invariant: v.Invariant, Detail: v.Detail, Strategy: shrunk,
 	}
 	if spec.Algo == AlgoService {
@@ -224,8 +222,7 @@ func (a *ReproArtifact) Spec() Spec {
 		Generator:      a.Strategy.Generator,
 		Budget:         BudgetDefault,
 		CommitteeScale: a.CommitteeScale, PoolProb: a.PoolProb,
-		EarlyStop: a.EarlyStop,
-		Epochs:    a.Epochs,
+		Epochs: a.Epochs,
 	}
 }
 

@@ -4,48 +4,6 @@ import (
 	"testing"
 )
 
-// countingDriver is a driver that also counts protocol messages, used to
-// verify the message-complexity claims of Lemmas 3.3 and 3.4.
-type countingDriver struct {
-	*driver
-	messages int
-}
-
-func newCountingDriver(machines map[int]Machine) *countingDriver {
-	return &countingDriver{driver: newDriver(machines, nil)}
-}
-
-func (d *countingDriver) run(maxRounds int) bool {
-	for round := 0; round < maxRounds; round++ {
-		allDone := true
-		for _, m := range d.machines {
-			if !m.Done() {
-				allDone = false
-			}
-		}
-		if allDone {
-			return true
-		}
-		next := make(map[int][]Msg)
-		for self, m := range d.machines {
-			if m.Done() {
-				continue
-			}
-			for _, out := range m.Step(d.pending[self]) {
-				d.messages++
-				next[out.To] = append(next[out.To], out)
-			}
-		}
-		d.pending = next
-	}
-	for _, m := range d.machines {
-		if !m.Done() {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPhaseKingMessageComplexity: Lemma 3.4 allows O(ĉg³) messages; the
 // implementation sends exactly (1 vote broadcast per member per phase)
 // plus one king tiebreak per phase: phases·(m² + m) ≤ m³.
@@ -56,7 +14,7 @@ func TestPhaseKingMessageComplexity(t *testing.T) {
 		for _, self := range correct {
 			machines[self] = NewPhaseKing(self, members, self%2 == 0)
 		}
-		d := newCountingDriver(machines)
+		d := newDriver(members, machines, nil)
 		if !d.run(10 * m) {
 			t.Fatalf("m=%d: did not terminate", m)
 		}
@@ -78,9 +36,9 @@ func TestValidatorMessageComplexity(t *testing.T) {
 		members, correct, _ := buildCommittee(m, 0)
 		machines := make(map[int]Machine, m)
 		for _, self := range correct {
-			machines[self] = NewValidator(self, members, Value{Hi: 9})
+			machines[self] = NewValidator(members, Value{Hi: 9})
 		}
-		d := newCountingDriver(machines)
+		d := newDriver(members, machines, nil)
 		if !d.run(ValidatorRounds + 1) {
 			t.Fatalf("m=%d: did not terminate", m)
 		}

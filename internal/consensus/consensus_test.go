@@ -5,20 +5,32 @@ import (
 	"testing"
 )
 
-// driver runs a set of machines (correct members) plus a Byzantine
-// injector in synchronous lockstep: messages produced in round r are
-// delivered in round r+1.
-type driver struct {
-	machines map[int]Machine
-	inject   func(round int) []Msg
-	pending  map[int][]Msg
+// routed is one message in flight between test members. Correct machines
+// broadcast to the whole committee; Byzantine injectors address members
+// one at a time.
+type routed struct {
+	to  int
+	msg Msg
 }
 
-func newDriver(machines map[int]Machine, inject func(round int) []Msg) *driver {
+// driver runs a set of machines (correct members) plus a Byzantine
+// injector in synchronous lockstep: messages produced in round r are
+// delivered in round r+1, and a machine's broadcast reaches every
+// committee member. messages counts the delivered copies of correct
+// broadcasts.
+type driver struct {
+	members  []int
+	machines map[int]Machine
+	inject   func(round int) []routed
+	pending  map[int][]Msg
+	messages int
+}
+
+func newDriver(members []int, machines map[int]Machine, inject func(round int) []routed) *driver {
 	if inject == nil {
-		inject = func(int) []Msg { return nil }
+		inject = func(int) []routed { return nil }
 	}
-	return &driver{machines: machines, inject: inject, pending: make(map[int][]Msg)}
+	return &driver{members: members, machines: machines, inject: inject, pending: make(map[int][]Msg)}
 }
 
 // run steps all machines until every one reports Done, or the round
@@ -39,12 +51,15 @@ func (d *driver) run(maxRounds int) bool {
 			if m.Done() {
 				continue
 			}
-			for _, out := range m.Step(d.pending[self]) {
-				next[out.To] = append(next[out.To], out)
+			if v, ok := m.Step(d.pending[self]); ok {
+				for _, to := range d.members {
+					d.messages++
+					next[to] = append(next[to], Msg{From: self, Val: v})
+				}
 			}
 		}
-		for _, msg := range d.inject(round) {
-			next[msg.To] = append(next[msg.To], msg)
+		for _, r := range d.inject(round) {
+			next[r.to] = append(next[r.to], r.msg)
 		}
 		d.pending = next
 	}
@@ -78,7 +93,7 @@ func TestPhaseKingUnanimity(t *testing.T) {
 				machines[self] = pk
 				pks[self] = pk
 			}
-			if !newDriver(machines, nil).run(1000) {
+			if !newDriver(members, machines, nil).run(1000) {
 				t.Fatalf("m=%d: did not terminate", m)
 			}
 			for self, pk := range pks {
@@ -93,12 +108,12 @@ func TestPhaseKingUnanimity(t *testing.T) {
 
 // byzInjector sends equivocating random bits from every Byzantine member
 // to every committee member each round, plus a lying king tiebreak.
-func byzInjector(byzantine, members []int, rng *rand.Rand) func(int) []Msg {
-	return func(round int) []Msg {
-		var out []Msg
+func byzInjector(byzantine, members []int, rng *rand.Rand) func(int) []routed {
+	return func(round int) []routed {
+		var out []routed
 		for _, from := range byzantine {
 			for _, to := range members {
-				out = append(out, Msg{From: from, To: to, Val: Bit(rng.Intn(2) == 0)})
+				out = append(out, routed{to, Msg{From: from, Val: Bit(rng.Intn(2) == 0)}})
 			}
 		}
 		return out
@@ -129,7 +144,7 @@ func TestPhaseKingAgreementUnderByzantine(t *testing.T) {
 			machines[self] = pk
 			pks[self] = pk
 		}
-		if !newDriver(machines, byzInjector(byzantine, members, rng)).run(5000) {
+		if !newDriver(members, machines, byzInjector(byzantine, members, rng)).run(5000) {
 			t.Fatalf("seed=%d: did not terminate", seed)
 		}
 		var ref bool
@@ -158,12 +173,12 @@ func TestValidatorUnanimity(t *testing.T) {
 	machines := make(map[int]Machine)
 	vas := make(map[int]*Validator)
 	for _, self := range correct {
-		va := NewValidator(self, members, in)
+		va := NewValidator(members, in)
 		machines[self] = va
 		vas[self] = va
 	}
 	rng := rand.New(rand.NewSource(1))
-	if !newDriver(machines, byzInjector(byzantine, members, rng)).run(10) {
+	if !newDriver(members, machines, byzInjector(byzantine, members, rng)).run(10) {
 		t.Fatal("did not terminate")
 	}
 	for self, va := range vas {
@@ -193,11 +208,11 @@ func TestValidatorWeakAgreement(t *testing.T) {
 				in = b
 			}
 			inputs[self] = in
-			va := NewValidator(self, members, in)
+			va := NewValidator(members, in)
 			machines[self] = va
 			vas[self] = va
 		}
-		if !newDriver(machines, byzInjector(byzantine, members, rng)).run(10) {
+		if !newDriver(members, machines, byzInjector(byzantine, members, rng)).run(10) {
 			t.Fatalf("seed=%d: did not terminate", seed)
 		}
 		var graded []Value
@@ -244,26 +259,26 @@ func TestExchangeCollectsOncePerSender(t *testing.T) {
 		} else {
 			wantZeros++
 		}
-		ex := NewExchange(self, members, Bit(bit))
+		ex := NewExchange(members, Bit(bit))
 		machines[self] = ex
 		exs[self] = ex
 	}
-	inject := func(round int) []Msg {
-		var out []Msg
+	inject := func(round int) []routed {
+		var out []routed
 		for _, to := range members {
 			// Duplicate spam: only the first per sender may count.
-			out = append(out, Msg{From: 8, To: to, Val: Value{}})
-			out = append(out, Msg{From: 8, To: to, Val: Value{Lo: 200}})
+			out = append(out, routed{to, Msg{From: 8, Val: Value{}}})
+			out = append(out, routed{to, Msg{From: 8, Val: Value{Lo: 200}}})
 			// Non-member spam must be ignored entirely.
-			out = append(out, Msg{From: 9, To: to, Val: Value{Lo: 999}})
-			out = append(out, Msg{From: 99, To: to, Val: Value{Lo: 999}})
+			out = append(out, routed{to, Msg{From: 9, Val: Value{Lo: 999}}})
+			out = append(out, routed{to, Msg{From: 99, Val: Value{Lo: 999}}})
 		}
 		return out
 	}
 	if z, o := exs[correct[0]].CountBits(); z != 0 || o != 0 {
 		t.Fatalf("tally before Done = %d zeros, %d ones", z, o)
 	}
-	if !newDriver(machines, inject).run(5) {
+	if !newDriver(members, machines, inject).run(5) {
 		t.Fatal("did not terminate")
 	}
 	for self, ex := range exs {
@@ -361,28 +376,29 @@ func TestPhaseKingUnderRushingSplit(t *testing.T) {
 		for round := 0; round < 5000; round++ {
 			allDone := true
 			next := make(map[int][]Msg)
-			var thisRound []Msg
+			// c0 and c1 count this round's honest broadcasts by bit;
+			// the rushing members observe them before voting.
+			c0, c1 := 0, 0
 			for self, mch := range machines {
 				if mch.Done() {
 					continue
 				}
 				allDone = false
-				for _, out := range mch.Step(pending[self]) {
-					next[out.To] = append(next[out.To], out)
-					thisRound = append(thisRound, out)
+				v, ok := mch.Step(pending[self])
+				if !ok {
+					continue
 				}
-			}
-			if allDone {
-				break
-			}
-			// The rushing members observe thisRound before voting.
-			c0, c1 := 0, 0
-			for _, msg := range thisRound {
-				if msg.Val.AsBit() {
+				for _, to := range members {
+					next[to] = append(next[to], Msg{From: self, Val: v})
+				}
+				if v.AsBit() {
 					c1++
 				} else {
 					c0++
 				}
+			}
+			if allDone {
+				break
 			}
 			minority := Bit(c1 < c0)
 			majority := Bit(c1 >= c0)
@@ -392,7 +408,7 @@ func TestPhaseKingUnderRushingSplit(t *testing.T) {
 					if idx < len(members)/2 {
 						val = minority
 					}
-					next[to] = append(next[to], Msg{From: from, To: to, Val: val})
+					next[to] = append(next[to], Msg{From: from, Val: val})
 				}
 			}
 			pending = next
@@ -425,11 +441,11 @@ func TestValidatorNoQuorumKeepsOwnInput(t *testing.T) {
 	vas := make(map[int]*Validator)
 	inputs := map[int]Value{0: {Hi: 1}, 1: {Hi: 1}, 2: {Hi: 2}, 3: {Hi: 2}}
 	for _, self := range correct {
-		va := NewValidator(self, members, inputs[self])
+		va := NewValidator(members, inputs[self])
 		machines[self] = va
 		vas[self] = va
 	}
-	if !newDriver(machines, nil).run(10) {
+	if !newDriver(members, machines, nil).run(10) {
 		t.Fatal("did not terminate")
 	}
 	for self, va := range vas {

@@ -16,6 +16,8 @@ func ExamplePhaseKing() {
 		machines[self] = consensus.NewPhaseKing(self, members, inputs[self])
 	}
 
+	// A member's broadcast for a round reaches every member, itself
+	// included, at the start of the next round.
 	pending := make(map[int][]consensus.Msg)
 	for {
 		done := true
@@ -25,8 +27,10 @@ func ExamplePhaseKing() {
 				continue
 			}
 			done = false
-			for _, out := range m.Step(pending[self]) {
-				next[out.To] = append(next[out.To], out)
+			if v, send := m.Step(pending[self]); send {
+				for _, to := range members {
+					next[to] = append(next[to], consensus.Msg{From: self, Val: v})
+				}
 			}
 		}
 		if done {
@@ -47,15 +51,17 @@ func ExamplePhaseKing() {
 func ExampleValidator() {
 	members := []int{0, 1}
 	in := consensus.Value{Hi: 7, Lo: 3}
-	va0 := consensus.NewValidator(0, members, in)
-	va1 := consensus.NewValidator(1, members, in)
+	va0 := consensus.NewValidator(members, in)
+	va1 := consensus.NewValidator(members, in)
 
 	pending := make(map[int][]consensus.Msg)
 	for !va0.Done() || !va1.Done() {
 		next := make(map[int][]consensus.Msg)
 		for self, va := range map[int]*consensus.Validator{0: va0, 1: va1} {
-			for _, out := range va.Step(pending[self]) {
-				next[out.To] = append(next[out.To], out)
+			if v, send := va.Step(pending[self]); send {
+				for _, to := range members {
+					next[to] = append(next[to], consensus.Msg{From: self, Val: v})
+				}
 			}
 		}
 		pending = next

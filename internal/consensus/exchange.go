@@ -5,8 +5,7 @@ package consensus
 // the committee and collects everybody else's. It takes two synchronous
 // rounds (send, then receive).
 type Exchange struct {
-	self int
-	val  Value
+	val Value
 
 	round int
 	votes voteSet // members' values, at most one per member
@@ -15,10 +14,10 @@ type Exchange struct {
 
 var _ Machine = (*Exchange)(nil)
 
-// NewExchange creates an exchange instance for the member at link index
-// self broadcasting val to the given committee view.
-func NewExchange(self int, members []int, val Value) *Exchange {
-	ex := &Exchange{self: self, val: val}
+// NewExchange creates an exchange instance that sends val and collects
+// one value per member of the given committee view.
+func NewExchange(members []int, val Value) *Exchange {
+	ex := &Exchange{val: val}
 	ex.votes.init(sortedMembers(members))
 	return ex
 }
@@ -40,19 +39,15 @@ func (ex *Exchange) CountBits() (zeros, ones int) {
 }
 
 // Step implements Machine.
-func (ex *Exchange) Step(in []Msg) []Msg {
+func (ex *Exchange) Step(in []Msg) (Value, bool) {
 	if ex.done {
-		return nil
+		return Value{}, false
 	}
 	if ex.round == 0 {
 		ex.round = 1
-		out := make([]Msg, 0, len(ex.votes.members))
-		for _, to := range ex.votes.members {
-			out = append(out, Msg{From: ex.self, To: to, Val: ex.val})
-		}
-		return out
+		return ex.val, true
 	}
 	ex.votes.collect(in)
 	ex.done = true
-	return nil
+	return Value{}, false
 }

@@ -23,7 +23,6 @@ type PhaseKing struct {
 	phase int
 	sub   int     // 0 = about to send votes, 1 = vote inbox + king send, 2 = king inbox
 	votes voteSet // collection scratch, cleared and reused per phase
-	out   []Msg   // broadcast scratch, valid until the next Step
 	done  bool
 }
 
@@ -82,25 +81,26 @@ func (pk *PhaseKing) Output() (bool, bool) {
 	return pk.cur.AsBit(), true
 }
 
-// Step advances the protocol by one synchronous round.
-func (pk *PhaseKing) Step(in []Msg) []Msg {
+// Step advances the protocol by one synchronous round and returns the
+// member's committee broadcast for it, if any.
+func (pk *PhaseKing) Step(in []Msg) (Value, bool) {
 	if pk.done {
-		return nil
+		return Value{}, false
 	}
 	switch pk.sub {
 	case 0:
 		// Send round-A votes.
 		pk.sub = 1
-		return pk.broadcast(pk.cur)
+		return pk.cur, true
 	case 1:
 		// Round-A inbox arrives; tally and, if king, send the tiebreak.
 		pk.votes.collect(in)
 		pk.sub = 2
 		if pk.kings[pk.phase] == pk.self {
 			maj, _, _ := pk.majority()
-			return pk.broadcast(maj)
+			return maj, true
 		}
-		return nil
+		return Value{}, false
 	default:
 		// Round-B inbox arrives; apply the king rule and, unless this
 		// was the last phase, immediately send the next phase's votes
@@ -115,10 +115,10 @@ func (pk *PhaseKing) Step(in []Msg) []Msg {
 		pk.phase++
 		if pk.phase == len(pk.kings) {
 			pk.done = true
-			return nil
+			return Value{}, false
 		}
 		pk.sub = 1
-		return pk.broadcast(pk.cur)
+		return pk.cur, true
 	}
 }
 
@@ -139,15 +139,6 @@ func (pk *PhaseKing) kingValue(in []Msg) Value {
 	}
 	// Silent or crashed-equivalent king: deterministic default.
 	return Bit(false)
-}
-
-func (pk *PhaseKing) broadcast(v Value) []Msg {
-	out := pk.out[:0]
-	for _, to := range pk.members {
-		out = append(out, Msg{From: pk.self, To: to, Val: v})
-	}
-	pk.out = out
-	return out
 }
 
 // normalizeBit maps any value a Byzantine king may send onto {0,1} so the

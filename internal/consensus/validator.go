@@ -23,13 +23,11 @@ package consensus
 //     m−t echoes seen by the grading member include more than t correct
 //     ones visible to everybody.
 type Validator struct {
-	self    int
 	members []int
 	in      Value
 
 	round    int
 	votes    voteSet // collection scratch, cleared and reused
-	out      []Msg   // broadcast scratch, valid until the next Step
 	done     bool
 	outSame  bool
 	outValue Value
@@ -37,11 +35,11 @@ type Validator struct {
 
 var _ Machine = (*Validator)(nil)
 
-// NewValidator creates a validator instance for the member at link index
-// self with the given input. members is the shared committee view as
-// link indices.
-func NewValidator(self int, members []int, input Value) *Validator {
-	va := &Validator{self: self, members: sortedMembers(members), in: input}
+// NewValidator creates a validator instance with the given input.
+// members is the shared committee view as link indices; a member's own
+// broadcasts reach it like everyone else's, so it needs no own link.
+func NewValidator(members []int, input Value) *Validator {
+	va := &Validator{members: sortedMembers(members), in: input}
 	va.votes.init(va.members)
 	return va
 }
@@ -71,26 +69,27 @@ func (va *Validator) Output() (same bool, val Value, ok bool) {
 	return va.outSame, va.outValue, true
 }
 
-// Step advances the protocol by one synchronous round.
-func (va *Validator) Step(in []Msg) []Msg {
+// Step advances the protocol by one synchronous round and returns the
+// member's committee broadcast for it, if any.
+func (va *Validator) Step(in []Msg) (Value, bool) {
 	if va.done {
-		return nil
+		return Value{}, false
 	}
 	m := len(va.members)
 	t := byzThreshold(m)
 	switch va.round {
 	case 0:
 		va.round = 1
-		return va.broadcast(va.in)
+		return va.in, true
 	case 1:
 		// Round-1 votes arrive; echo a strong-quorum value if one exists.
 		va.votes.collect(in)
 		best, cnt, _ := va.votes.countVotes()
 		va.round = 2
 		if cnt >= m-t {
-			return va.broadcast(best)
+			return best, true
 		}
-		return nil
+		return Value{}, false
 	default:
 		// Echoes arrive; grade.
 		va.votes.collect(in)
@@ -104,15 +103,6 @@ func (va *Validator) Step(in []Msg) []Msg {
 			va.outSame, va.outValue = false, va.in
 		}
 		va.done = true
-		return nil
+		return Value{}, false
 	}
-}
-
-func (va *Validator) broadcast(v Value) []Msg {
-	out := va.out[:0]
-	for _, to := range va.members {
-		out = append(out, Msg{From: va.self, To: to, Val: v})
-	}
-	va.out = out
-	return out
 }

@@ -12,9 +12,11 @@
 //     outputs same=1 is guaranteed every correct member holds the same
 //     output value).
 //
-// Both protocols are transport-agnostic step machines: the renaming node
-// drives them one synchronous round at a time and wraps their messages
-// into simulator payloads. As discussed in DESIGN.md, the reproduction
+// Both protocols, and the one-round Exchange of the diff report, are
+// transport-agnostic step machines: the renaming node drives them one
+// synchronous round at a time, and each round a member sends at most one
+// value, broadcast to its committee view, which the node wraps into
+// simulator payloads. As discussed in DESIGN.md, the reproduction
 // instantiates them under the common-view assumption of Lemmas 3.3/3.4
 // (G ⊆ ∩ C_v): all correct members share the member list and therefore a
 // king schedule, while Byzantine members retain full power to equivocate,
@@ -48,23 +50,24 @@ func Less(a, b Value) bool {
 	return a.Lo < b.Lo
 }
 
-// Msg is one point-to-point protocol message. From and To are link
-// indices in the underlying network; From is trustworthy because the
-// simulator models authenticated channels.
+// Msg is one received protocol message. From is the sender's link index
+// in the underlying network; it is trustworthy because the simulator
+// models authenticated channels.
 type Msg struct {
 	From int
-	To   int
 	Val  Value
 }
 
-// Machine is a step-driven subprotocol. The driver calls Step once per
-// synchronous round, passing the protocol messages delivered this round;
-// the first call receives no input. Step returns the messages to send
-// this round; the returned slice is only valid until the next Step call
-// (machines reuse their broadcast scratch), so drivers must copy what
-// they retain. After Done reports true, Step must not be called again.
+// Machine is a step-driven committee subprotocol. The driver calls Step
+// once per synchronous round, passing the protocol messages delivered
+// this round; the first call receives no input. Every message these
+// subprotocols send goes to the whole committee, so a round's output is
+// at most one broadcast: Step returns the value with send set, and the
+// driver delivers it to every member of the committee view, the sender
+// included. With send unset the member stays silent this round. After
+// Done reports true, Step must not be called again.
 type Machine interface {
-	Step(in []Msg) (out []Msg)
+	Step(in []Msg) (v Value, send bool)
 	Done() bool
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
@@ -35,12 +34,6 @@ const (
 	stageDiffConsensus                      // Consensus on the amplified diff flag
 )
 
-// member is one committee member in a node's view.
-type member struct {
-	id   int
-	link int
-}
-
 // ByzNode is a correct participant of the Byzantine-resilient renaming
 // algorithm (Section 3.1): committee election via the shared candidate
 // pool, identity aggregation into an N-bit list, fingerprint-based
@@ -56,11 +49,12 @@ type ByzNode struct {
 	elected bool
 
 	// Committee view, identical across correct nodes (G ⊆ ∩Cv with the
-	// all-or-nothing announcement simplification documented in DESIGN.md).
-	// Membership tests binary-search memberLinks (sorted ascending): a
+	// all-or-nothing announcement simplification documented in DESIGN.md):
+	// the links of the authenticated ELECT senders, sorted ascending. It
+	// is the member list of every consensus machine and the fan-out of
+	// every committee broadcast. Membership tests binary-search it: a
 	// per-node Θ(n) bool set would make the whole run Θ(n²) memory —
 	// ~4 GiB at n = 65536 — for a set that holds O(polylog n) links.
-	committee   []member
 	memberLinks []int
 
 	// Committee-member state.
@@ -108,13 +102,6 @@ type ByzNode struct {
 	pkScratch *consensus.PhaseKing
 	vaScratch *consensus.Validator
 	beacon    *sharedrand.Beacon // cached: the beacon is a stateless seed
-
-	// boxed caches the last interface-boxed subprotocol payload across
-	// rounds: a member's vote usually repeats between phases, and the
-	// boxed value is immutable, so re-sending the same box skips the
-	// per-broadcast heap allocation.
-	boxed    sim.Payload
-	boxedKey SubPayload
 
 	// newBuf is the distribution arena: one PackedNew per heard identity,
 	// sent by pointer so the NEW messages of a committee member share
@@ -177,7 +164,7 @@ func (node *ByzNode) Idle() bool {
 func (node *ByzNode) Elected() bool { return node.elected }
 
 // CommitteeSize returns the size of the node's committee view.
-func (node *ByzNode) CommitteeSize() int { return len(node.committee) }
+func (node *ByzNode) CommitteeSize() int { return len(node.memberLinks) }
 
 // Iterations returns the number of divide-and-conquer iterations the
 // committee ran (0 for non-members), the quantity bounded by Lemma 3.10.
@@ -197,8 +184,8 @@ func (node *ByzNode) Partition() []interval.Interval {
 // committee-composition assumption of Lemma 3.5.
 func (node *ByzNode) ByzantineInCommittee(isByz func(link int) bool) int {
 	count := 0
-	for _, m := range node.committee {
-		if isByz(m.link) {
+	for _, link := range node.memberLinks {
+		if isByz(link) {
 			count++
 		}
 	}
@@ -253,19 +240,16 @@ func (node *ByzNode) stepAggregate(inbox []sim.Message) sim.Outbox {
 			continue
 		}
 		// Accept only pool members whose authentication binding checks
-		// out; a Byzantine node cannot claim a foreign identity.
+		// out; a Byzantine node cannot claim a foreign identity. The
+		// binding makes a link stand for one identity, so deduplicating
+		// links deduplicates members.
 		if !node.inPool(e.ID) || !node.cfg.VerifyIdentity(msg.From, e.ID) {
 			continue
 		}
-		node.committee = append(node.committee, member{id: e.ID, link: msg.From})
+		node.memberLinks = append(node.memberLinks, msg.From)
 	}
-	slices.SortFunc(node.committee, func(a, b member) int { return cmp.Compare(a.id, b.id) })
-	node.committee = dedupMembers(node.committee)
-	node.memberLinks = make([]int, 0, len(node.committee))
-	for _, m := range node.committee {
-		node.memberLinks = append(node.memberLinks, m.link)
-	}
-	sort.Ints(node.memberLinks)
+	slices.Sort(node.memberLinks)
+	node.memberLinks = slices.Compact(node.memberLinks)
 	node.newVotes = make([]newVote, len(node.memberLinks))
 	node.tally = make([]int, 0, len(node.memberLinks))
 
@@ -316,7 +300,7 @@ func (node *ByzNode) stepLoop(inbox []sim.Message) sim.Outbox {
 		if !ok || s.PC != expected {
 			continue
 		}
-		subIn = append(subIn, consensus.Msg{From: msg.From, To: node.idx, Val: s.Val})
+		subIn = append(subIn, consensus.Msg{From: msg.From, Val: s.Val})
 	}
 	node.subIn = subIn
 	if node.machine != nil {
@@ -383,7 +367,7 @@ func (node *ByzNode) phaseKing(input bool) *consensus.PhaseKing {
 // validator returns the node's pooled Validator, likewise rewound.
 func (node *ByzNode) validator(input consensus.Value) *consensus.Validator {
 	if node.vaScratch == nil {
-		node.vaScratch = consensus.NewValidator(node.idx, node.memberLinks, input)
+		node.vaScratch = consensus.NewValidator(node.memberLinks, input)
 	} else {
 		node.vaScratch.Reset(input)
 	}
@@ -424,7 +408,7 @@ func (node *ByzNode) advance() {
 		}
 		node.diffBit = node.curVal != node.agreedVal
 		node.stage = stageDiffExchange
-		node.machine = consensus.NewExchange(node.idx, node.memberLinks, consensus.Bit(node.diffBit))
+		node.machine = consensus.NewExchange(node.memberLinks, consensus.Bit(node.diffBit))
 		node.wrapSub(node.machine.Step(nil))
 
 	case stageDiffExchange:
@@ -474,34 +458,25 @@ func (node *ByzNode) diffThreshold() int {
 	return (len(node.memberLinks) + 2) / 3
 }
 
-// wrapSub converts consensus messages into simulator payloads tagged
-// with the current subprotocol counter, appending them to outBuf (the
-// consensus machine's slice is scratch, so the copy happens here).
-// Messages carrying the payload last boxed — the norm, since the
-// machines broadcast one value to the whole committee and votes repeat
-// across phases — share that box: SubPayload is immutable once built,
-// so recipients can safely alias it across recipients and rounds, and
-// the per-broadcast interface allocation disappears.
-func (node *ByzNode) wrapSub(msgs []consensus.Msg) {
-	if len(msgs) == 0 {
+// wrapSub sends a consensus machine's round output: the value, when
+// send is set, broadcast to the committee view as one SubPayload per
+// member link, tagged with the current subprotocol counter and appended
+// to outBuf. Links go out in ascending order, the machines' own member
+// order. All copies share one box: SubPayload is immutable once built,
+// so recipients can alias it, and a broadcast costs one allocation
+// whatever the committee size. The counter differs every round, so no
+// box outlives its round's broadcast.
+func (node *ByzNode) wrapSub(v consensus.Value, send bool) {
+	if !send {
 		return
 	}
-	valueBits := 61 + bitsFor(len(node.cfg.IDs))
-	pcBits := bitsFor(node.pc + 1)
-	for _, m := range msgs {
-		p := SubPayload{
-			PC: node.pc, Val: m.Val,
-			ValueBits: valueBits, PCBits: pcBits,
-		}
-		if node.boxed == nil || p != node.boxedKey {
-			node.boxed = p
-			node.boxedKey = p
-		}
-		node.outBuf = append(node.outBuf, sim.Message{
-			From:    node.idx,
-			To:      m.To,
-			Payload: node.boxed,
-		})
+	var box sim.Payload = SubPayload{
+		PC: node.pc, Val: v,
+		ValueBits: 61 + bitsFor(len(node.cfg.IDs)),
+		PCBits:    bitsFor(node.pc + 1),
+	}
+	for _, link := range node.memberLinks {
+		node.outBuf = append(node.outBuf, sim.Message{From: node.idx, To: link, Payload: box})
 	}
 }
 
@@ -632,17 +607,4 @@ func (node *ByzNode) tryDecide() {
 	node.newID = best
 	node.decided = true
 	node.halted = true
-}
-
-func dedupMembers(ms []member) []member {
-	out := ms[:0]
-	var last member
-	for i, m := range ms {
-		if i > 0 && m.id == last.id {
-			continue
-		}
-		out = append(out, m)
-		last = m
-	}
-	return out
 }

@@ -10,9 +10,9 @@ import (
 // word. As with crashCodec, billing follows the paper's field widths,
 // not the packing: a NEW bills bitsFor(n)+1 (a name in [1, n] plus the
 // null flag). The other kinds need no codec: elect/announce are
-// one-shot rounds, and SubPayload broadcasts reuse one boxed value per
-// vote (see wrapSub), so neither contributes per-message state that
-// scales with the run.
+// one-shot rounds, and the copies of a SubPayload broadcast share one
+// boxed value (see wrapSub), so neither contributes per-message state
+// that scales with the run.
 //
 // NEW has this one wire form: correct nodes send *PackedNew from a
 // per-distribution arena, and Byzantine attackers encode their

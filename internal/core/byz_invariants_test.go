@@ -164,9 +164,9 @@ func TestByzPoolMembershipEnforced(t *testing.T) {
 	}
 	for _, link := range run.correct {
 		node := run.honest[link]
-		for _, m := range node.committee {
-			if !inPool[m.id] {
-				t.Fatalf("non-pool identity %d in committee view", m.id)
+		for _, member := range node.memberLinks {
+			if id := cfg.IDs[member]; !inPool[id] {
+				t.Fatalf("non-pool identity %d in committee view", id)
 			}
 		}
 		if node.Elected() != inPool[cfg.IDs[link]] {

@@ -53,9 +53,10 @@ type SubPayload struct {
 	PC  int
 	Val consensus.Value
 
-	// ValueBits is the semantic width of Val for bit accounting: a
-	// fingerprint–counter pair costs 61 + ceil(log2 n) bits, a binary
-	// vote costs 1 bit.
+	// ValueBits is the billed width of Val. Every subprotocol message is
+	// billed as a fingerprint–counter pair, 61 + bitsFor(n) bits, binary
+	// phase-king votes and diff reports included, although a binary
+	// value needs only 1 bit. The golden fingerprints pin this billing.
 	ValueBits int
 	// PCBits is the width of the round counter.
 	PCBits int

@@ -86,12 +86,7 @@ func (run *byzRun) assumptionHolds() bool {
 	if anyCorrect.CommitteeSize() == 0 {
 		return false
 	}
-	byzInCommittee := 0
-	for _, m := range anyCorrect.committee {
-		if run.byzSet[m.link] {
-			byzInCommittee++
-		}
-	}
+	byzInCommittee := anyCorrect.ByzantineInCommittee(func(link int) bool { return run.byzSet[link] })
 	return 3*byzInCommittee < anyCorrect.CommitteeSize()
 }
 

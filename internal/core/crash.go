@@ -146,11 +146,12 @@ type CrashNode struct {
 	// sets is the engine's interned-set registry (sim.SetUser), letting
 	// the per-phase status multicast travel as one shared ToSet entry
 	// when this node's committee view matches the phase's canonical set;
-	// nil (or a declined intern) falls back to an explicit Multicast.
+	// a declined intern, or a node run without a registry, falls back to
+	// an explicit Multicast.
 	sets *sim.Sets
 	// agg is the run-wide shared committee aggregate (one object for all
-	// nodes, obtained through the registry's scratch slot); nil when
-	// shared multicasts are disabled.
+	// nodes, obtained through the registry's scratch slot); nil without
+	// a registry.
 	agg *committeeAggregate
 
 	// Reusable scratch, all owned by this node and safe under the
@@ -174,16 +175,12 @@ var _ sim.Quiescent = (*CrashNode)(nil)
 var _ sim.SetUser = (*CrashNode)(nil)
 
 // UseSets implements sim.SetUser: the engine hands the node its
-// interned-set registry at setup (nil disables shared multicasts). All
-// nodes of a run share one committeeAggregate through the registry's
-// scratch slot, so a committee round's inbox-pure work is computed once
-// for the whole committee.
+// interned-set registry at setup. All nodes of a run share one
+// committeeAggregate through the registry's scratch slot, so a committee
+// round's inbox-pure work is computed once for the whole committee.
 func (node *CrashNode) UseSets(s *sim.Sets) {
 	node.sets = s
-	node.agg = nil
-	if s != nil {
-		node.agg = s.Scratch(func() any { return new(committeeAggregate) }).(*committeeAggregate)
-	}
+	node.agg = s.Scratch(func() any { return new(committeeAggregate) }).(*committeeAggregate)
 }
 
 // NewCrashNode constructs the node at link index idx. The initial
@@ -289,7 +286,6 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		// next rewrite two rounds later.
 		node.packedStatusBox = node.codec.encodeStatus(StatusPayload{
 			ID: node.id, I: node.iv, D: node.d, P: node.p,
-			SizeN: node.cfg.N, SizeSmallN: node.n,
 		})
 		payload := &node.packedStatusBox
 		out := node.outBuf[:0]
@@ -371,9 +367,10 @@ type committeePlan struct {
 }
 
 // planPool lends committee plans to members on the private path. Only a
-// mid-send filter (or WithEagerMulticast) puts a member there, and the
-// plan is dead once its batch is encoded, so one plan per concurrent
-// Step replaces an O(n) plan kept by every node that ever took the path.
+// mid-send filter, or running without a registry, puts a member there,
+// and the plan is dead once its batch is encoded, so one plan per
+// concurrent Step replaces an O(n) plan kept by every node that ever
+// took the path.
 var planPool = sync.Pool{New: func() any { return new(committeePlan) }}
 
 // intern registers the plan's links as this phase's response set, so a
@@ -519,8 +516,6 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 	}
 	if needBot {
 		root := interval.Full(n)
-		nonTree := false
-	walk:
 		for i := range groups {
 			g := &groups[i]
 			cur := root
@@ -539,24 +534,10 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 					cur = t
 					continue
 				}
-				// g.iv is not a vertex of the halving tree — impossible
-				// for statuses produced by this algorithm, but fall back
-				// to the exact quadratic count rather than miscount.
-				nonTree = true
-				break walk
-			}
-		}
-		if nonTree {
-			for k := range botAcc {
-				botAcc[k] = 0
-			}
-			for i := range groups {
-				g := &groups[i]
-				for k := range botAcc {
-					if k.Contains(g.iv) {
-						botAcc[k] += int(g.count)
-					}
-				}
+				// Every interval a node holds is [1, n] or a committee's
+				// halving of one, so a status off the tree is a protocol
+				// fault, not an input to count around.
+				panic(fmt.Sprintf("core: status interval %v is not a vertex of the halving tree over [1, %d]", g.iv, n))
 			}
 		}
 	}
@@ -566,7 +547,7 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 	early := cfg.EarlyStop && allUnit
 	for j, m := range statuses {
 		w := m.s
-		resp := ResponsePayload{ID: w.ID, SizeN: cfg.N, SizeSmallN: n, Done: early}
+		resp := ResponsePayload{ID: w.ID, Done: early}
 		switch {
 		case w.D != minDepth:
 			// Deeper than the frontier: echo unchanged (Figure 2 line 11).

@@ -10,15 +10,15 @@ import (
 )
 
 // crashCodec bit-packs the crash algorithm's two high-volume payloads —
-// status and response — into two machine words each, replacing the 64-
-// and 72-byte structs that otherwise sit in every in-flight message and
-// response arena. Packing is decoupled from billing: Bits() keeps the
-// paper's field-width accounting (ID over [N], endpoints over [n],
-// counters over [log n + 1]) verbatim, while the packed layout uses
-// widths wide enough for every value the implementation can actually
-// produce (d and p advance at most once per phase, so both fit under
-// TotalRounds). Notify needs no codec: it is already a zero-size struct
-// billed at one bit.
+// status and response — into two machine words each; StatusPayload and
+// ResponsePayload are only their decoded forms. Packing is decoupled
+// from billing: the billed widths keep the paper's field-width
+// accounting (ID over [N], endpoints over [n], counters over
+// [log n + 1]) verbatim, and this codec is their one source, while the
+// packed layout uses widths wide enough for every value the
+// implementation can actually produce (d and p advance at most once per
+// phase, so both fit under TotalRounds). Notify needs no codec: it is
+// already a zero-size struct billed at one bit.
 //
 // Every node derives the codec from the shared CrashConfig, so widths
 // agree across the run without ever being put on the wire. The packed
@@ -29,25 +29,24 @@ type crashCodec struct {
 	ivBits int // interval endpoints ∈ [1, n]
 	pcBits int // d and p counters, bounded by the phase budget
 
-	// statusBits / responseBits are the billed Bits() of the unpacked
-	// payloads — constant per run, precomputed once.
+	// statusBits / responseBits are the billed widths of one status and
+	// one response — constant per run, precomputed once.
 	statusBits   uint16
 	responseBits uint16
 
-	sizeN, sizeSmallN int
-	scratch           [2]uint64 // Writer backing, reused across encodes
+	scratch [2]uint64 // Writer backing, reused across encodes
 }
 
 func newCrashCodec(cfg CrashConfig) crashCodec {
 	n := len(cfg.IDs)
 	logn := log2Ceil(n)
 	c := crashCodec{
-		idBits:     bitsFor(cfg.N),
-		ivBits:     bitsFor(n),
-		pcBits:     bitsFor(cfg.TotalRounds() + 1),
-		sizeN:      cfg.N,
-		sizeSmallN: n,
+		idBits: bitsFor(cfg.N),
+		ivBits: bitsFor(n),
+		pcBits: bitsFor(cfg.TotalRounds() + 1),
 	}
+	// ID ∈ [N]; interval endpoints ∈ [n]; d, p ≤ ceil(log2 n)+1 (once p
+	// reaches log2 n everyone is elected).
 	c.statusBits = uint16(bitsFor(cfg.N) + 2*bitsFor(n) + 2*bitsFor(logn+1))
 	c.responseBits = c.statusBits + 1 // Done flag
 	return c
@@ -57,10 +56,10 @@ func newCrashCodec(cfg CrashConfig) crashCodec {
 // layout is one bit narrower); it must fit two words.
 func (c *crashCodec) packedWidth() int { return c.idBits + 2*c.ivBits + 2*c.pcBits + 1 }
 
-// PackedStatus is the wire form of StatusPayload: the same five fields
-// bit-packed into two words. Bits() reports the *billed* width of the
-// unpacked payload, so metrics — and hence golden fingerprints — are
-// unchanged by packing.
+// PackedStatus is the wire form of StatusPayload: its four fields
+// bit-packed into two words. Bits() reports the billed width under the
+// paper's field accounting, not the packed width, so metrics — and hence
+// golden fingerprints — are unchanged by packing.
 type PackedStatus struct {
 	w0, w1 uint64
 	bits   uint16
@@ -86,7 +85,7 @@ type PackedResponse struct {
 // travels as a single ToSet entry over its links (or, where the set is
 // not interned, as one explicit message per link, all carrying the same
 // batch), and the engine bills it per recipient as one response-width
-// wire message — Kind and Bits are those of a single ResponsePayload — so
+// wire message — KindResponse and the billed width of one response — so
 // every metric counts exactly what per-link responses would. Contract: a
 // recipient reads only the entry at its own link.
 type PackedResponses struct {
@@ -149,8 +148,6 @@ func (c *crashCodec) decodeStatus(p *PackedStatus, out *StatusPayload) {
 	out.I = interval.Interval{Lo: int(r.Take(c.ivBits)), Hi: int(r.Take(c.ivBits))}
 	out.D = int(r.Take(c.pcBits))
 	out.P = int(r.Take(c.pcBits))
-	out.SizeN = c.sizeN
-	out.SizeSmallN = c.sizeSmallN
 }
 
 func (c *crashCodec) encodeResponse(s ResponsePayload) PackedResponse {
@@ -177,6 +174,4 @@ func (c *crashCodec) decodeResponse(p *PackedResponse, out *ResponsePayload) {
 	out.D = int(r.Take(c.pcBits))
 	out.P = int(r.Take(c.pcBits))
 	out.Done = r.TakeBool()
-	out.SizeN = c.sizeN
-	out.SizeSmallN = c.sizeSmallN
 }

@@ -13,10 +13,18 @@ func randomCrashCfg(rng *rand.Rand) CrashConfig {
 	return CrashConfig{N: n * (1 + rng.Intn(8)), IDs: make([]int, n)}
 }
 
-// TestCrashCodecRoundTrip is the codec-vs-struct property test: for
-// random configurations and random in-domain payloads, encode→decode is
-// the identity and the packed payload bills exactly the same Bits() as
-// the struct it replaces — the invariant that keeps golden fingerprints
+// paperStatusBits is the paper's field accounting for ⟨ID, I, d, p⟩: the
+// ID over [N], both interval endpoints over [n], and d and p over
+// [ceil(log2 n) + 1]. A response adds the one-bit Done flag.
+func paperStatusBits(cfg CrashConfig) int {
+	n := len(cfg.IDs)
+	return bitsFor(cfg.N) + 2*bitsFor(n) + 2*bitsFor(log2Ceil(n)+1)
+}
+
+// TestCrashCodecRoundTrip is the codec property test: for random
+// configurations and random in-domain payloads, encode→decode is the
+// identity and the packed payloads bill the paper's field widths, not
+// their packed widths — the invariant that keeps golden fingerprints
 // byte-identical under packing.
 func TestCrashCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -30,15 +38,14 @@ func TestCrashCodecRoundTrip(t *testing.T) {
 		lo := 1 + rng.Intn(n)
 		hi := lo + rng.Intn(n-lo+1)
 		s := StatusPayload{
-			ID:    1 + rng.Intn(cfg.N),
-			I:     interval.New(lo, hi),
-			D:     rng.Intn(cfg.TotalRounds() + 1),
-			P:     rng.Intn(cfg.TotalRounds() + 1),
-			SizeN: cfg.N, SizeSmallN: n,
+			ID: 1 + rng.Intn(cfg.N),
+			I:  interval.New(lo, hi),
+			D:  rng.Intn(cfg.TotalRounds() + 1),
+			P:  rng.Intn(cfg.TotalRounds() + 1),
 		}
 		ps := c.encodeStatus(s)
-		if ps.Bits() != s.Bits() {
-			t.Fatalf("trial %d: packed status bills %d bits, struct bills %d", trial, ps.Bits(), s.Bits())
+		if want := paperStatusBits(cfg); ps.Bits() != want {
+			t.Fatalf("trial %d: packed status bills %d bits, want %d", trial, ps.Bits(), want)
 		}
 		var back StatusPayload
 		c.decodeStatus(&ps, &back)
@@ -46,14 +53,11 @@ func TestCrashCodecRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: status round-trip %+v != %+v", trial, back, s)
 		}
 
-		r := ResponsePayload{
-			ID: s.ID, I: s.I, D: s.D, P: s.P, Done: rng.Intn(2) == 0,
-			SizeN: cfg.N, SizeSmallN: n,
-		}
+		r := ResponsePayload{ID: s.ID, I: s.I, D: s.D, P: s.P, Done: rng.Intn(2) == 0}
 		var b PackedResponses
 		c.encodeBatch(&b, []ResponsePayload{r}, r.P)
-		if b.Bits() != r.Bits() {
-			t.Fatalf("trial %d: response batch bills %d bits, struct bills %d", trial, b.Bits(), r.Bits())
+		if want := paperStatusBits(cfg) + 1; b.Bits() != want {
+			t.Fatalf("trial %d: response batch bills %d bits, want %d", trial, b.Bits(), want)
 		}
 		var rback ResponsePayload
 		c.decodeResponse(&b.resp[0], &rback)
@@ -64,13 +68,13 @@ func TestCrashCodecRoundTrip(t *testing.T) {
 }
 
 // TestCrashCodecKinds pins the wire kinds: metrics bucket packed
-// payloads under the kinds of the structs they encode.
+// payloads under the kinds of the messages they encode.
 func TestCrashCodecKinds(t *testing.T) {
-	if (PackedStatus{}).Kind() != (StatusPayload{}).Kind() {
-		t.Fatal("packed status kind differs from struct kind")
+	if (PackedStatus{}).Kind() != KindStatus {
+		t.Fatal("packed status kind differs from KindStatus")
 	}
-	if (&PackedResponses{}).Kind() != (ResponsePayload{}).Kind() {
-		t.Fatal("response batch kind differs from struct kind")
+	if (&PackedResponses{}).Kind() != KindResponse {
+		t.Fatal("response batch kind differs from KindResponse")
 	}
 	if (PackedNew{}).Kind() != KindNew {
 		t.Fatal("packed new kind differs from KindNew")
@@ -107,7 +111,8 @@ func TestByzCodecRoundTrip(t *testing.T) {
 
 // FuzzCrashCodecRoundTrip fuzzes the response codec (the wider of the
 // two layouts) over configuration and field bytes. Any in-domain
-// payload that fails to round-trip, or bills differently packed, fails.
+// payload that fails to round-trip, or bills other than the paper's
+// field widths, fails.
 func FuzzCrashCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(7), uint16(3), uint16(9), uint8(1), uint8(1), false)
 	f.Add(uint8(16), uint8(7), uint16(65535), uint16(1), uint16(65535), uint8(200), uint8(0), true)
@@ -119,17 +124,16 @@ func FuzzCrashCodecRoundTrip(f *testing.F) {
 		loV := 1 + int(lo)%n
 		hiV := loV + int(span)%(n-loV+1)
 		r := ResponsePayload{
-			ID:    1 + int(id)%cfg.N,
-			I:     interval.New(loV, hiV),
-			D:     int(d) % (cfg.TotalRounds() + 1),
-			P:     int(p) % (cfg.TotalRounds() + 1),
-			Done:  done,
-			SizeN: cfg.N, SizeSmallN: n,
+			ID:   1 + int(id)%cfg.N,
+			I:    interval.New(loV, hiV),
+			D:    int(d) % (cfg.TotalRounds() + 1),
+			P:    int(p) % (cfg.TotalRounds() + 1),
+			Done: done,
 		}
 		var b PackedResponses
 		c.encodeBatch(&b, []ResponsePayload{r}, r.P)
-		if b.Bits() != r.Bits() {
-			t.Fatalf("batch bills %d, struct bills %d", b.Bits(), r.Bits())
+		if want := paperStatusBits(cfg) + 1; b.Bits() != want {
+			t.Fatalf("batch bills %d, want %d", b.Bits(), want)
 		}
 		var back ResponsePayload
 		c.decodeResponse(&b.resp[0], &back)

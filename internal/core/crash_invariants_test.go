@@ -43,7 +43,7 @@ func snapshot(nw *sim.Network, nodes []*CrashNode) phaseSnapshot {
 // first round has run).
 func stepPhases(t *testing.T, cfg CrashConfig, adv sim.CrashAdversary, check func(phase int, s phaseSnapshot)) {
 	t.Helper()
-	nw, nodes := buildCrashRun(t, cfg, adv)
+	nw, nodes := buildCrashRun(t, cfg, adv, false)
 	total := cfg.TotalRounds()
 	for round := 0; round < total; round++ {
 		nw.StepRound()
@@ -113,7 +113,7 @@ func TestLemma23OccupancyEveryPhase(t *testing.T) {
 			Budget: 30, Prob: 0.12, MidSendProb: 0.6,
 			Rand: rand.New(rand.NewSource(seed + 7)),
 		}
-		nw, nodes := buildCrashRun(t, cfg, adv)
+		nw, nodes := buildCrashRun(t, cfg, adv, false)
 		total := cfg.TotalRounds()
 		for round := 0; round < total; round++ {
 			nw.StepRound()
@@ -160,7 +160,7 @@ func TestCrashAblationDoublingOff(t *testing.T) {
 			adv := &adversary.CommitteeKiller{
 				Budget: 127, MidSend: true, Rand: rand.New(rand.NewSource(seed * 3)),
 			}
-			nw, nodes := buildCrashRun(t, cfg, adv)
+			nw, nodes := buildCrashRun(t, cfg, adv, false)
 			if err := nw.Run(cfg.TotalRounds() + 1); err != nil {
 				t.Fatal(err)
 			}

@@ -25,55 +25,25 @@ func (NotifyPayload) Kind() string { return KindNotify }
 // Bits implements sim.Payload.
 func (NotifyPayload) Bits() int { return 1 }
 
-// StatusPayload is the round-2 message ⟨ID(v), I_v, d_v, p_v⟩ a node
-// sends to every active committee member.
+// StatusPayload is the decoded round-2 message ⟨ID(v), I_v, d_v, p_v⟩ a
+// node sends to every active committee member; on the wire it travels
+// as PackedStatus, which carries the billed width (see crashCodec).
 type StatusPayload struct {
 	ID int
 	I  interval.Interval
 	D  int
 	P  int
-
-	// SizeN and SizeSmallN capture the namespace sizes so Bits can
-	// account field widths faithfully.
-	SizeN      int
-	SizeSmallN int
 }
 
-var _ sim.Payload = StatusPayload{}
-
-// Kind implements sim.Payload.
-func (StatusPayload) Kind() string { return KindStatus }
-
-// Bits implements sim.Payload.
-func (p StatusPayload) Bits() int {
-	// ID ∈ [N]; interval endpoints ∈ [n]; d ≤ ceil(log2 n)+1;
-	// p ≤ ceil(log2 n)+1 (once p reaches log2 n everyone is elected).
-	logn := log2Ceil(p.SizeSmallN)
-	return bitsFor(p.SizeN) + 2*bitsFor(p.SizeSmallN) + 2*bitsFor(logn+1)
-}
-
-// ResponsePayload is the round-3 committee decision ⟨ID(w), I, d, p⟩ sent
-// back to node w. Done is the early-stopping extension's signal (one
-// extra bit): the committee member saw only unit intervals this phase,
-// so every alive node has determined its identity and may halt.
+// ResponsePayload is the decoded round-3 committee decision ⟨ID(w), I, d,
+// p⟩ for node w; on the wire it travels inside a member's
+// PackedResponses batch. Done is the early-stopping extension's signal
+// (one extra bit): the committee member saw only unit intervals this
+// phase, so every alive node has determined its identity and may halt.
 type ResponsePayload struct {
 	ID   int
 	I    interval.Interval
 	D    int
 	P    int
 	Done bool
-
-	SizeN      int
-	SizeSmallN int
-}
-
-var _ sim.Payload = ResponsePayload{}
-
-// Kind implements sim.Payload.
-func (ResponsePayload) Kind() string { return KindResponse }
-
-// Bits implements sim.Payload.
-func (p ResponsePayload) Bits() int {
-	logn := log2Ceil(p.SizeSmallN)
-	return bitsFor(p.SizeN) + 2*bitsFor(p.SizeSmallN) + 2*bitsFor(logn+1) + 1
 }

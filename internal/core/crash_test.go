@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -13,8 +14,11 @@ import (
 )
 
 // buildCrashRun wires n crash nodes into a network with the given
-// adversary and returns both.
-func buildCrashRun(t *testing.T, cfg CrashConfig, adv sim.CrashAdversary) (*sim.Network, []*CrashNode) {
+// adversary and extra engine options and returns both. With plain set,
+// each node reaches the engine as a bare sim.Node, which hides its
+// SetUser side: it gets no interned-set registry and sends every status
+// multicast and response batch as explicit per-recipient messages.
+func buildCrashRun(t *testing.T, cfg CrashConfig, adv sim.CrashAdversary, plain bool, extra ...sim.Option) (*sim.Network, []*CrashNode) {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("config: %v", err)
@@ -25,19 +29,22 @@ func buildCrashRun(t *testing.T, cfg CrashConfig, adv sim.CrashAdversary) (*sim.
 	for i := 0; i < n; i++ {
 		nodes[i] = NewCrashNode(cfg, i)
 		simNodes[i] = nodes[i]
+		if plain {
+			simNodes[i] = struct{ sim.Node }{nodes[i]}
+		}
 	}
 	opts := []sim.Option{sim.WithPeek(func(i int) any { return nodes[i].Peek() })}
 	if adv != nil {
 		opts = append(opts, sim.WithCrashAdversary(adv))
 	}
-	return sim.NewNetwork(simNodes, opts...), nodes
+	return sim.NewNetwork(simNodes, append(opts, extra...)...), nodes
 }
 
 // runCrash executes a full crash-renaming execution and fails the test on
 // round-limit violations.
 func runCrash(t *testing.T, cfg CrashConfig, adv sim.CrashAdversary) (*sim.Network, []*CrashNode) {
 	t.Helper()
-	nw, nodes := buildCrashRun(t, cfg, adv)
+	nw, nodes := buildCrashRun(t, cfg, adv, false)
 	if err := nw.Run(cfg.TotalRounds() + 1); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -76,6 +83,59 @@ func seqConfig(n, bigN int, seed int64) CrashConfig {
 		ids[i] = i*gap + 1
 	}
 	return CrashConfig{N: bigN, IDs: ids, Seed: seed}
+}
+
+// TestCrashSharedSendsMatchExplicit is the representation property test
+// of the crash path's committee traffic: a full adversarial execution
+// must be observationally identical whether each node's status multicast
+// and each committee member's response batch travel as shared ToSet
+// entries (delivered through the engine's aggregate layer and the shared
+// committee plan) or as the explicit per-recipient sends a node without
+// an interned-set registry falls back to. The committee killer with
+// mid-send crashes drives the divergence machinery: partial sends force
+// ToSet expansion through the crash filter, senders with divergent
+// committee views or response links decline the intern, and merged
+// per-recipient views take the committee's pooled private-plan path.
+// Compared: the full sim.Metrics (per-node arrays and PerKindBits
+// included), the round-digest stream, and every node's liveness and
+// output. Billing is decoupled from packing; this test pins that the
+// packing is unobservable.
+func TestCrashSharedSendsMatchExplicit(t *testing.T) {
+	const n = 256
+	for _, seed := range []int64{11, 77} {
+		for _, workers := range []int{1, 8} {
+			var prints [2]string
+			for mode, plain := range []bool{false, true} {
+				cfg := seqConfig(n, 16*n, seed)
+				cfg.CommitteeScale = 0.02
+				adv := &adversary.CommitteeKiller{Budget: 64, MidSend: true, Rand: rand.New(rand.NewSource(seed))}
+				var fp strings.Builder
+				nw, nodes := buildCrashRun(t, cfg, adv, plain,
+					sim.WithEngineWorkers(workers),
+					sim.WithRoundDigest(func(d sim.RoundDigest) { fmt.Fprintf(&fp, "%+v\n", d) }))
+				if err := nw.Run(cfg.TotalRounds() + 1); err != nil {
+					t.Fatalf("seed=%d workers=%d plain=%v: %v", seed, workers, plain, err)
+				}
+				checkUnique(t, nw, nodes)
+				if nw.Crashes() == 0 {
+					t.Fatalf("seed=%d workers=%d plain=%v: the killer crashed nobody", seed, workers, plain)
+				}
+				fmt.Fprintf(&fp, "%+v\n", *nw.Metrics())
+				for i, node := range nodes {
+					if (node.sets == nil) != plain {
+						t.Fatalf("seed=%d workers=%d plain=%v: node %d has registry %v", seed, workers, plain, i, node.sets != nil)
+					}
+					id, ok := node.Output()
+					fmt.Fprintf(&fp, "%d:%v/%d/%v;", i, nw.Alive(i), id, ok)
+				}
+				nw.Close()
+				prints[mode] = fp.String()
+			}
+			if prints[0] != prints[1] {
+				t.Errorf("seed=%d workers=%d: shared and explicit sends are observably different", seed, workers)
+			}
+		}
+	}
 }
 
 func TestCrashNoFailuresSmall(t *testing.T) {

@@ -407,11 +407,13 @@ func (s *Service) RunEpoch(joins []Client, leaves []int) (*EpochResult, error) {
 	// Decide. The leavers' names count as free: the apply step releases
 	// them before it pops, so an epoch may recycle the names it frees.
 	free := s.free.Len() + len(leaves)
+	// A run outside the committee assumption may fail to decide, so a
+	// broken committee is named before the outcome it excuses.
 	switch {
-	case !res.Unique:
-		res.AbortReason = "one-shot run violated strong renaming"
 	case s.cfg.Core == CoreByzantine && !res.AssumptionHolds:
 		res.AbortReason = "committee assumption broken"
+	case !res.Unique:
+		res.AbortReason = "one-shot run violated strong renaming"
 	case len(survivors) > free:
 		res.AbortReason = fmt.Sprintf("free list drained: %d survivors, %d free names", len(survivors), free)
 	}

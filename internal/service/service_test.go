@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"renaming"
 )
 
 func newTestService(t *testing.T, cfg Config) *Service {
@@ -222,6 +224,38 @@ func TestServiceByzantineCore(t *testing.T) {
 			if (a.Client < b.Client) != (a.Rank < b.Rank) {
 				t.Fatalf("ranks not order-preserving: %+v vs %+v", a, b)
 			}
+		}
+	}
+}
+
+// TestServiceAbortsBrokenCommittee: every joiner of a 9-client Byzantine
+// epoch sits on the committee. Crashing three members right after
+// election leaves no NEW quorum, so the one-shot run exhausts its
+// rounds outside the committee assumption; the epoch must abort as a
+// broken committee and write nothing. Crashing two keeps the assumption,
+// and the seven survivors join.
+func TestServiceAbortsBrokenCommittee(t *testing.T) {
+	for _, crashed := range [][]int{{0, 1}, {0, 1, 2}} {
+		svc := newTestService(t, Config{Capacity: 64, Seed: 1, Core: CoreByzantine,
+			FaultForEpoch: func(epoch, batch int) renaming.FaultSpec {
+				return renaming.FaultSpec{Kind: renaming.FaultBurst, Round: 2, Nodes: crashed}
+			}})
+		joins := make([]Client, 9)
+		for i := range joins {
+			joins[i] = Client{ID: 10 * (i + 1)}
+		}
+		res, err := svc.RunEpoch(joins, nil)
+		if err != nil {
+			t.Fatalf("%d crashed: %v", len(crashed), err)
+		}
+		if len(crashed) == 2 {
+			if res.Aborted || res.Joined != 7 {
+				t.Fatalf("2 crashed: aborted=%v (%s), joined %d; want a committed epoch with 7 joins", res.Aborted, res.AbortReason, res.Joined)
+			}
+			continue
+		}
+		if !res.Aborted || res.AbortReason != "committee assumption broken" || svc.Live() != 0 {
+			t.Fatalf("3 crashed: aborted=%v reason=%q live=%d; want a broken-committee abort with nobody live", res.Aborted, res.AbortReason, svc.Live())
 		}
 	}
 }

@@ -25,8 +25,9 @@
 // merge. A broadcast is just the multicast to the full link set, so
 // every shared target takes this one path. Expansion to individual
 // copies happens only under mid-send crash filters and rushing
-// previews, in ascending-member order — byte-identical to eager
-// emission (the WithEagerMulticast ablation pins this). Payload
+// previews, in ascending-member order — byte-identical to explicit
+// per-recipient sends, which is what a node without a registry emits
+// (TestToSetSharedVsEagerFingerprint pins this). Payload
 // implementations must therefore be read-only after Send. Delivered To
 // is unspecified (a bound view keeps the sender's sentinel); nodes
 // identify themselves by their own link index, and From is always the

@@ -155,21 +155,20 @@ type engine struct {
 	// marks them — their view still carries the sender's To sentinel);
 	// recipients with several sources are merged into per-worker merge
 	// slabs by the phMerge phase. See docs/MEMORY.md.
-	sets           *Sets
-	eagerMulticast bool
-	sharedRecs     [][]sharedRec // per worker: pure-shared senders, ascending
-	sharedCur      [][]int32     // per worker × active set: scatter cursor
-	actSets        []actSet      // this round's distinct shared targets
-	aggSlabs       [2]inboxSlab  // aggregate segments, by round parity
-	aggBuf         []Message     // this round's aggregate slab fill
-	aggActive      bool
-	srcSet         []int32   // per recipient: actSets index of its named source
-	srcGen         []uint32  // stamp for srcSet
-	boundGen       []uint32  // per recipient: stamp when nextInb[i] is a raw segment
-	clsGen         []uint32  // per recipient: classification-done stamp
-	mergeList      [][]int32 // per worker: recipients needing a k-way merge
-	mergeSlabs     [2][]inboxSlab
-	expand         []expandPool // per worker: shared-entry expansion buffers
+	sets       *Sets
+	sharedRecs [][]sharedRec // per worker: pure-shared senders, ascending
+	sharedCur  [][]int32     // per worker × active set: scatter cursor
+	actSets    []actSet      // this round's distinct shared targets
+	aggSlabs   [2]inboxSlab  // aggregate segments, by round parity
+	aggBuf     []Message     // this round's aggregate slab fill
+	aggActive  bool
+	srcSet     []int32   // per recipient: actSets index of its named source
+	srcGen     []uint32  // stamp for srcSet
+	boundGen   []uint32  // per recipient: stamp when nextInb[i] is a raw segment
+	clsGen     []uint32  // per recipient: classification-done stamp
+	mergeList  [][]int32 // per worker: recipients needing a k-way merge
+	mergeSlabs [2][]inboxSlab
+	expand     []expandPool // per worker: shared-entry expansion buffers
 }
 
 // sharedRec records one pure-shared sender for the scatter cursors: to
@@ -320,7 +319,6 @@ func (e *engine) reset(nodes []Node) {
 	}
 	e.previews = nil
 	e.rushInbox = e.rushInbox[:0]
-	e.eagerMulticast = false
 	e.aggActive = false
 	e.actSets = e.actSets[:0]
 	for w := range e.sharedRecs {
@@ -399,20 +397,16 @@ func (e *engine) finishSetup() {
 	for len(e.expand) < p {
 		e.expand = append(e.expand, expandPool{})
 	}
-	// Attach (or detach, under WithEagerMulticast) the interned-set
-	// registry on every node that shares multicasts through it. The
-	// registry is per-run: a pooled lease re-clears it here.
+	// Attach the interned-set registry to every node that shares
+	// multicasts through it. The registry is per-run: a pooled lease
+	// re-clears it here.
 	if e.sets == nil {
 		e.sets = &Sets{}
 	}
 	e.sets.reset(n)
-	reg := e.sets
-	if e.eagerMulticast {
-		reg = nil
-	}
 	for _, nd := range e.nodes {
 		if su, ok := nd.(SetUser); ok {
-			su.UseSets(reg)
+			su.UseSets(e.sets)
 		}
 	}
 	for i, r := range e.rushing {
@@ -894,8 +888,8 @@ func hasShared(out Outbox) bool {
 
 // expandOutbox replaces sender i's outbox with its explicit expansion,
 // built in a buffer from worker w's pool: every shared entry becomes one
-// message per set member, ascending — the exact order the eager
-// representation emits — and everything else is copied verbatim. The
+// message per set member, ascending — the exact order of explicit
+// per-recipient sends — and everything else is copied verbatim. The
 // coordinator expands mid-send filtered senders through worker 0's pool;
 // each worker expands its mixed outboxes during the count phase and
 // reads them again in its scatter phase.

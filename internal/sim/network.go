@@ -108,16 +108,6 @@ func WithRoundEnd(fn func()) Option {
 	return func(e *engine) { e.roundEnd = append(e.roundEnd, fn) }
 }
 
-// WithEagerMulticast disables the interned-set shared-multicast path:
-// nodes implementing SetUser get a nil registry and therefore emit
-// explicit per-recipient Multicast messages instead of ToSet entries.
-// Billing, delivered content and delivery order are identical either way
-// — the property tests pin exactly that — so this is a testing and
-// ablation knob, never a semantics knob.
-func WithEagerMulticast() Option {
-	return func(e *engine) { e.eagerMulticast = true }
-}
-
 // WithEngineWorkers pins the engine's worker count (shards) instead of
 // the GOMAXPROCS default. Results are bit-identical at every setting —
 // the determinism tests exercise exactly that — so this is a performance

@@ -35,10 +35,10 @@ type Sets struct {
 }
 
 // SetUser is implemented by nodes that emit ToSet shared multicasts. The
-// engine calls UseSets during setup with its registry, or with nil when
-// shared multicasts are disabled (WithEagerMulticast) — nodes must fall
-// back to an explicit Multicast when the registry is nil or InternPhase
-// declines.
+// engine calls UseSets during setup with its registry. Nodes must fall
+// back to an explicit Multicast when InternPhase declines, and when they
+// run without a registry: a node that reaches the engine wrapped in a
+// type that hides SetUser never receives one.
 type SetUser interface {
 	UseSets(s *Sets)
 }

@@ -7,14 +7,15 @@ import (
 )
 
 // castNode is the ToSet property-test node: depending on its role it
-// emits shared multicasts through the interned-set registry (falling
-// back to explicit Multicast when the registry is nil — the
-// eager-multicast ablation), shared broadcasts, explicit unicasts, or a
-// mixed outbox of both shared kinds. Every node records what it
-// receives, keyed by round, so runs can be fingerprinted and compared
-// across representations and worker counts.
+// emits shared multicasts through the interned-set registry, shared
+// broadcasts, explicit unicasts, or a mixed outbox of both shared kinds.
+// An eager node declines the registry, so its multicasts take the
+// explicit Multicast fallback every SetUser keeps. Every node records
+// what it receives, keyed by round, so runs can be fingerprinted and
+// compared across representations and worker counts.
 type castNode struct {
 	idx, n  int
+	eager   bool
 	sets    *Sets
 	sendFor int
 	round   int
@@ -28,7 +29,11 @@ type castNode struct {
 	unicast []int // explicit unicast targets
 }
 
-func (c *castNode) UseSets(reg *Sets) { c.sets = reg }
+func (c *castNode) UseSets(reg *Sets) {
+	if !c.eager {
+		c.sets = reg
+	}
+}
 
 func (c *castNode) Step(round int, inbox []Message) Outbox {
 	for _, msg := range inbox {
@@ -81,7 +86,7 @@ func runCastFleet(t *testing.T, workers int, eager bool) (string, int64, int64) 
 	nodes := make([]*castNode, n)
 	simNodes := make([]Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = &castNode{idx: i, n: n, sendFor: 4}
+		nodes[i] = &castNode{idx: i, n: n, eager: eager, sendFor: 4}
 		simNodes[i] = nodes[i]
 	}
 	// Group A (senders 0-3) multicasts to {4,5,6}; group B (senders 4-6)
@@ -108,16 +113,12 @@ func runCastFleet(t *testing.T, workers int, eager bool) (string, int64, int64) 
 		// Round 2: set-B sender 4 crashes before sending.
 		2: {{Node: 4}},
 	}}
-	opts := []Option{
+	nw := NewNetwork(simNodes,
 		WithCrashAdversary(adv),
 		WithByzantine([]int{9}),
 		WithRushing([]int{9}),
 		WithEngineWorkers(workers),
-	}
-	if eager {
-		opts = append(opts, WithEagerMulticast())
-	}
-	nw := NewNetwork(simNodes, opts...)
+	)
 	defer nw.Close()
 	if err := nw.Run(8); err != nil {
 		t.Fatalf("workers=%d eager=%v: %v", workers, eager, err)

@@ -80,6 +80,38 @@ func TestRunByzantineRejectsTooManyFaults(t *testing.T) {
 	}
 }
 
+// TestByzantineBudgetOutsideAssumption: outside the committee assumption
+// Theorem 1.3 promises nothing, termination included, so a run that
+// exhausts its round budget there returns its Result, whose undecided
+// survivors make Unique false, instead of an error that stops a campaign
+// or the service. Every node of n = 9 joins the committee; crashing
+// three or five members right after election leaves no NEW quorum.
+// Crashing two keeps the assumption, and that run decides.
+func TestByzantineBudgetOutsideAssumption(t *testing.T) {
+	for _, crashed := range [][]int{{0, 1}, {0, 1, 2}, {0, 1, 2, 3, 4}} {
+		res, err := RunByzantine(9, ByzSpec{
+			Seed: 1, PoolProb: 1,
+			Fault: FaultSpec{Kind: FaultBurst, Round: 2, Nodes: crashed},
+		})
+		if err != nil {
+			t.Fatalf("%d crashed: %v", len(crashed), err)
+		}
+		holds := 3*len(crashed) < 9
+		if res.CommitteeSize != 9 || res.AssumptionHolds != holds || res.Unique != holds {
+			t.Fatalf("%d crashed: committee %d, assumption %v, unique %v; want 9, %v, %v",
+				len(crashed), res.CommitteeSize, res.AssumptionHolds, res.Unique, holds, holds)
+		}
+		if holds {
+			continue
+		}
+		for link, id := range res.NewIDByLink {
+			if id >= 0 {
+				t.Fatalf("%d crashed: link %d decided %d without a NEW quorum", len(crashed), link, id)
+			}
+		}
+	}
+}
+
 func TestRunBaselines(t *testing.T) {
 	for _, kind := range []BaselineKind{BaselineAllToAllCrash, BaselineCollectSort,
 		BaselineAllToAllByzantine, BaselineConsensusBroadcast} {

@@ -101,7 +101,9 @@ type ByzSpec struct {
 // RunByzantine executes the Byzantine-resilient renaming algorithm of
 // Section 3 over n nodes and returns the outcome with full communication
 // metrics. Correct nodes' results populate NewIDByLink; Byzantine links
-// are marked -1.
+// are marked -1. Running out of rounds is an error only while the
+// committee assumption holds; outside it the Result comes back with its
+// undecided survivors, so Unique is false.
 func RunByzantine(n int, spec ByzSpec) (*Result, error) {
 	return runByzantine(n, spec, nil)
 }
@@ -187,14 +189,7 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 	}
 	nw := pool.Acquire(simNodes, opts...)
 	defer nw.Close()
-	if err := nw.Run(byzRoundBudget(cfg, len(byzLinks))); err != nil {
-		return nil, fmt.Errorf("byzantine renaming: %w", err)
-	}
-	if spec.Trace != nil {
-		if err := recorder.WriteTimeline(spec.Trace); err != nil {
-			return nil, fmt.Errorf("write trace: %w", err)
-		}
-	}
+	runErr := nw.Run(byzRoundBudget(cfg, len(byzLinks)))
 
 	res := &Result{
 		NewIDByLink: make([]int, n),
@@ -230,6 +225,18 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 		}
 	}
 	res.AssumptionHolds = res.CommitteeSize > 0 && 3*byzInCommittee < res.CommitteeSize
+	if runErr != nil && res.AssumptionHolds {
+		// Inside the committee assumption Lemma 3.10 bounds the rounds,
+		// so an exhausted budget is a fault. Outside it nothing is
+		// promised: the run returns its Result, whose undecided
+		// survivors make Unique false.
+		return nil, fmt.Errorf("byzantine renaming: %w", runErr)
+	}
+	if spec.Trace != nil {
+		if err := recorder.WriteTimeline(spec.Trace); err != nil {
+			return nil, fmt.Errorf("write trace: %w", err)
+		}
+	}
 	fillMetrics(res, nw)
 	res.fill(spec.IDs)
 	for i := 0; i < n; i++ {

@@ -138,12 +138,6 @@ type CrashSpec struct {
 	// (sim.WithEngineWorkers). Results are bit-identical at any setting;
 	// the determinism test locks a golden fingerprint at 1 and 8.
 	EngineWorkers int
-	// EagerMulticast disables the shared ToSet status multicast and
-	// committee response batches (sim.WithEagerMulticast), forcing
-	// explicit per-recipient messages.
-	// Results are bit-identical either way — the representation property
-	// test pins exactly that — so this is an ablation/testing knob.
-	EagerMulticast bool
 }
 
 // RunCrash executes the crash-resilient renaming algorithm of Section 2
@@ -203,9 +197,6 @@ func runCrash(n int, spec CrashSpec, pool *sim.Pool) (*Result, error) {
 	}
 	if spec.EngineWorkers > 0 {
 		opts = append(opts, sim.WithEngineWorkers(spec.EngineWorkers))
-	}
-	if spec.EagerMulticast {
-		opts = append(opts, sim.WithEagerMulticast())
 	}
 	nw := pool.Acquire(simNodes, opts...)
 	defer nw.Close()
