@@ -22,10 +22,8 @@ ci:
 	$(GO) test -run '^$$' -bench CrashStepRound -benchtime 1x .
 	$(GO) test -run '^$$' -bench ChurnEpoch -benchtime 1x .
 	$(GO) run ./cmd/campaign -algo crash -n 64 -execs 50 -seed 1
-	$(GO) run ./cmd/campaign -search -algo crash -n 64 -budget-execs 48 -seed 1 -objective envelope
 	$(GO) run ./cmd/campaign -algo service -n 64 -execs 8 -seed 1
 	$(GO) run ./cmd/campaign -algo byzantine -n 48 -execs 200 -seed 2026 -gen byz-skew
-	$(GO) run ./cmd/campaign -search -algo byzantine -n 48 -budget-execs 16 -seed 1
 	$(GO) run ./cmd/renamed -n 256 -epochs 40 -faults 16 -seed 2
 	$(GO) run ./cmd/linkcheck
 

@@ -27,13 +27,12 @@ type Event struct {
 	// MidSend crashes the node mid-send: each of its round-r messages is
 	// delivered independently with probability 1/2, drawn from the
 	// schedule seed and the event's Salt (never from shared state or the
-	// event's position), so dropping, reordering, or mutating other
+	// event's position), so dropping, reordering, or editing other
 	// events does not reshuffle this event's filter — the property ddmin
-	// shrinking and search-guided mutation both rely on.
+	// shrinking relies on.
 	MidSend bool `json:"midSend,omitempty"`
 	// Salt is the event's stable filter identity, assigned once at
-	// generation time and carried through every later mutation or
-	// shrink.
+	// generation time and carried through every later shrink.
 	Salt uint64 `json:"salt,omitempty"`
 }
 

@@ -287,8 +287,8 @@ func Run(spec Spec) (*Outcome, error) {
 // ServiceOracle per execution. It returns the run's metrics (Violations
 // set to the invariant codes), its result (for AlgoService the
 // trace-aggregate Result), and the violations stamped with seed and
-// strat. Campaign runs, search evaluations, shrink replays and artifact
-// replays all execute through it; each caller stamps its own Exec.
+// strat. Campaign runs, shrink replays and artifact replays all execute
+// through it; each caller stamps its own Exec.
 func execute(spec Spec, strat Strategy, seed int64) (runner.Metrics, *renaming.Result, []Violation, error) {
 	run := runOneShot
 	if spec.Algo == AlgoService {

@@ -73,6 +73,60 @@ func TestLemma25PGapAtMostOne(t *testing.T) {
 	}
 }
 
+// responseWipe crashes the whole committee mid-send in one response
+// round. Every crashed member's batch still reaches every link except
+// link 0, so link 0 alone sees a wipe (Figure 3 lines 1–3) and moves to
+// p+1 while every other node keeps p.
+type responseWipe struct{ round int }
+
+func (a responseWipe) Crashes(v sim.View) []sim.CrashOrder {
+	if v.Round != a.round {
+		return nil
+	}
+	var orders []sim.CrashOrder
+	for i, alive := range v.Alive {
+		if alive && v.Peek(i).(CrashPeek).Elected {
+			orders = append(orders, sim.CrashOrder{Node: i, Filter: func(to int) bool { return to != 0 }})
+		}
+	}
+	return orders
+}
+
+// TestFigure3CatchUpOnP drives Figure 3's catch-up on p: a node that
+// hears a larger p adopts it and draws re-election. Killer schedules
+// crash members before they respond, so every wipe is global and p never
+// diverges; here the wipe reaches link 0 only. The p-gap of exactly one
+// that opens at that phase end must close at the next one, with max p
+// unchanged: link 0, re-elected at the larger p, is then the whole
+// committee and stamps its responses with it.
+func TestFigure3CatchUpOnP(t *testing.T) {
+	const wipeRound = 8 // phase 2's response round
+	for _, n := range []int{64, 256} {
+		for _, seed := range []int64{1, 3} {
+			cfg := seqConfig(n, 16*n, seed)
+			cfg.CommitteeScale = 0.02
+			gapPhase, gapP := -1, 0
+			stepPhases(t, cfg, responseWipe{round: wipeRound}, func(phase int, s phaseSnapshot) {
+				switch {
+				case gapPhase < 0 && s.maxP-s.minP == 1:
+					gapPhase, gapP = phase, s.maxP
+				case gapPhase >= 0 && phase == gapPhase+1:
+					if s.maxP != s.minP || s.maxP != gapP {
+						t.Errorf("n=%d seed=%d phase=%d: p range [%d, %d] one phase after the gap opened at max p %d, want closed at %d",
+							n, seed, phase, s.minP, s.maxP, gapP, gapP)
+					}
+				}
+				if s.maxP-s.minP > 1 {
+					t.Fatalf("n=%d seed=%d phase=%d: p gap %d−%d > 1", n, seed, phase, s.maxP, s.minP)
+				}
+			})
+			if gapPhase != wipeRound/3 {
+				t.Errorf("n=%d seed=%d: p gap of one opened at phase %d, want phase %d (the wipe's)", n, seed, gapPhase, wipeRound/3)
+			}
+		}
+	}
+}
+
 // TestLemma22And24Progress: every two phases, either the minimum depth of
 // undecided nodes or the minimum p increases.
 func TestLemma22And24Progress(t *testing.T) {

@@ -13,29 +13,35 @@ import (
 // the per-round cost is O(messages) with near-zero allocations, no
 // per-node goroutines, and no sorting.
 //
-// A round runs in four phases, each executed shard-parallel behind a
+// A round runs in five phases, each executed shard-parallel behind a
 // barrier:
 //
 //	step     every shard steps its alive (non-rushing) nodes in-place;
 //	         the coordinator then steps rushing nodes (wave 2) and
 //	         evaluates mid-send crash filters sequentially, so stateful
-//	         filters consume shared randomness in the exact order the
-//	         sequential engine did;
+//	         filters consume shared randomness in one fixed order at
+//	         every worker count;
 //	count    every shard walks its nodes' outboxes, bumping a per-worker
 //	         × per-recipient counter and accumulating metrics into a
 //	         per-shard accumulator (lock-free: shards touch disjoint
-//	         cells);
+//	         cells); the coordinator then plans this round's shared
+//	         aggregate segments (planShared);
 //	deliver  every shard turns the counters for *its recipients* into
 //	         exclusive prefix offsets and carves this round's inbox views
 //	         out of the shard's slab — a counting sort by sender,
-//	         exploiting that worker w's senders all precede worker w+1's;
+//	         exploiting that worker w's senders all precede worker w+1's
+//	         — then binds each recipient whose only source is one shared
+//	         segment to it zero-copy;
 //	scatter  every shard writes its surviving messages into the
-//	         recipients' inboxes at the precomputed offsets.
+//	         recipients' inboxes at the precomputed offsets;
+//	merge    only in rounds where some recipient has several sources (an
+//	         individual view and a shared segment, or two segments):
+//	         those inboxes are k-way merged by sender into the worker's
+//	         merge slab.
 //
 // Because offsets are assigned in (worker, sender, emission) order, every
 // inbox comes out sorted by sender link with per-sender emission order
-// preserved — byte-identical to the previous engine's append-then-stable-
-// sort delivery, at every worker count.
+// preserved, at every worker count.
 //
 // Inbox storage is slab-allocated (see inboxSlab): per round and worker,
 // one arena holds every incoming message of the shard's recipients, and
@@ -151,10 +157,10 @@ type engine struct {
 	// one aggregate segment per distinct shared target out of the parity
 	// aggregate slab and precomputes per-worker scatter cursors, so the
 	// segment comes out in global sender order. Recipients whose only
-	// traffic is a single segment are *bound* to it zero-copy (boundGen
-	// marks them — their view still carries the sender's To sentinel);
-	// recipients with several sources are merged into per-worker merge
-	// slabs by the phMerge phase. See docs/MEMORY.md.
+	// traffic is a single segment are *bound* to it zero-copy (their view
+	// still carries the sender's To sentinel); recipients with several
+	// sources are merged into per-worker merge slabs by the phMerge
+	// phase. See docs/MEMORY.md.
 	sets       *Sets
 	sharedRecs [][]sharedRec // per worker: pure-shared senders, ascending
 	sharedCur  [][]int32     // per worker × active set: scatter cursor
@@ -164,7 +170,6 @@ type engine struct {
 	aggActive  bool
 	srcSet     []int32   // per recipient: actSets index of its named source
 	srcGen     []uint32  // stamp for srcSet
-	boundGen   []uint32  // per recipient: stamp when nextInb[i] is a raw segment
 	clsGen     []uint32  // per recipient: classification-done stamp
 	mergeList  [][]int32 // per worker: recipients needing a k-way merge
 	mergeSlabs [2][]inboxSlab
@@ -267,7 +272,6 @@ func (e *engine) reset(nodes []Node) {
 	e.aliveView = growSpan(e.aliveView, n)
 	e.srcSet = growSpan(e.srcSet, n)
 	e.srcGen = growSpan(e.srcGen, n)
-	e.boundGen = growSpan(e.boundGen, n)
 	e.clsGen = growSpan(e.clsGen, n)
 	for i := 0; i < n; i++ {
 		e.alive[i] = true
@@ -281,7 +285,7 @@ func (e *engine) reset(nodes []Node) {
 		e.inbGen[i], e.nextGen[i] = 0, 0
 		// The aggregate stamps share the zeroed-means-never convention
 		// (round stamps start at 1), so cross-run staleness is impossible.
-		e.srcGen[i], e.boundGen[i], e.clsGen[i] = 0, 0, 0
+		e.srcGen[i], e.clsGen[i] = 0, 0
 		e.outs[i] = nil
 		e.acted[i] = false
 		e.quiet[i], _ = nodes[i].(Quiescent)
@@ -1115,10 +1119,10 @@ func (e *engine) scatterShared(w int) {
 
 // deliverShared classifies the recipients of this round's aggregate
 // segments, after the individual views have been carved. A recipient
-// whose only traffic is a single segment is bound to it zero-copy
-// (boundGen marks the view as still carrying the sender's To sentinel);
-// a recipient with several sources — an individual view, or more than
-// one segment — is queued on the worker's merge list for phaseMerge.
+// whose only traffic is a single segment is bound to it zero-copy (the
+// view still carries the sender's To sentinel); a recipient with several
+// sources — an individual view, or more than one segment — is queued on
+// the worker's merge list for phaseMerge.
 // The coordinator-only path calls this with the full [0, n) span.
 func (e *engine) deliverShared(w, lo, hi int, stamp uint32) {
 	ml := e.mergeList[w][:0]
@@ -1163,7 +1167,6 @@ func (e *engine) classifyShared(to int, stamp uint32, ml []int32) []int32 {
 		if e.nextGen[to] != stamp {
 			e.nextInb[to] = a.seg
 			e.nextGen[to] = stamp
-			e.boundGen[to] = stamp
 			return ml
 		}
 		return append(ml, int32(to))
