@@ -15,7 +15,7 @@ ci:
 	$(GO) test ./... -short -race
 	$(GO) test -run 'TestAllQuick$$' ./internal/experiments
 	$(GO) test -race ./internal/sim ./internal/service
-	$(GO) test -race -count=10 -run 'TestCrashDeterminism$$|TestCrashSharedSendsMatchExplicit$$' . ./internal/core
+	$(GO) test -race -count=10 -run 'TestCrashDeterminism$$|TestCrashSharedSendsMatchExplicit$$|TestByzantineDeterminism$$|TestByzMidSendNewDeterminism$$' . ./internal/core
 	$(GO) test -race -count=200 -run 'TestSinkFailureStopsScheduling$$' ./internal/runner
 	$(GO) test -run '^$$' -bench StepRound -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench ByzStepRound -benchtime 1x .

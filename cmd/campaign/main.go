@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"renaming/internal/campaign"
@@ -34,10 +35,17 @@ import (
 func main() {
 	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		printError(os.Stderr, err)
 		os.Exit(2)
 	}
 	os.Exit(code)
+}
+
+// printError writes err as one line that starts with exactly one
+// "campaign: ": errors from internal/campaign already carry the prefix,
+// the others (a missing file, say) do not.
+func printError(w io.Writer, err error) {
+	fmt.Fprintln(w, "campaign:", strings.TrimPrefix(err.Error(), "campaign: "))
 }
 
 // run is main with its arguments and output streams passed in, so tests

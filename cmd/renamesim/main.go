@@ -117,10 +117,9 @@ func run() error {
 			if stratByz, merr = strat.ByzMap(); merr != nil {
 				return merr
 			}
-			if len(strat.Schedule) > 0 {
-				// mixed-fault strategies crash honest nodes too.
-				stratByzFault = strat.Fault()
-			}
+			// mixed-fault strategies crash honest nodes too; an empty
+			// schedule crashes none.
+			stratByzFault = strat.Fault()
 		} else {
 			faultSpec = strat.Fault()
 		}

@@ -403,17 +403,10 @@ func runOneShot(spec Spec, strat Strategy, seed int64) (runner.Metrics, *renamin
 		if berr != nil {
 			return runner.Metrics{}, nil, nil, berr
 		}
-		bspec := renaming.ByzSpec{
-			N: spec.BigN, IDs: ids, Seed: seed,
-			PoolProb: spec.PoolProb, Byzantine: byz, Profile: true,
-		}
-		if len(strat.Schedule) > 0 {
-			// Mixed-fault strategies crash honest nodes too; the zero
-			// value keeps pure-Byzantine executions on the exact
-			// pre-mixed-fault engine configuration.
-			bspec.Fault = strat.Fault()
-		}
-		res, err = renaming.RunByzantine(spec.N, bspec)
+		res, err = renaming.RunByzantine(spec.N, renaming.ByzSpec{
+			N: spec.BigN, IDs: ids, Seed: seed, PoolProb: spec.PoolProb,
+			Byzantine: byz, Fault: strat.Fault(), Profile: true,
+		})
 	case AlgoBaselineA2A:
 		res, err = renaming.RunBaseline(spec.N, renaming.BaselineSpec{
 			Kind: renaming.BaselineAllToAllCrash,

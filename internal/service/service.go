@@ -57,8 +57,9 @@ type Config struct {
 	// setting.
 	EngineWorkers int
 	// Profile records each epoch's per-round traffic profile into
-	// EpochResult.RoundStats through the streaming digest path (8 bytes
-	// per round, no materialized timeline).
+	// EpochResult.RoundStats through the round-digest path. The recorder
+	// keeps one summary, with a per-kind count map, for every round of
+	// the epoch's one-shot run.
 	Profile bool
 	// FaultForEpoch, when non-nil, supplies the crash adversary for the
 	// epoch's one-shot run over a join batch of the given size — the

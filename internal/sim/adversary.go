@@ -6,22 +6,14 @@ package sim
 // liveness, the current round, and read-only access to node state via the
 // Peek callback installed by the harness.
 //
-// The Alive slice and the messages returned by Inbox are scratch buffers
-// the engine reuses between rounds: inspect them during Crashes, do not
-// retain them.
+// The Alive slice is a scratch buffer the engine reuses between rounds:
+// inspect it during Crashes, do not retain it.
 type View struct {
 	// Round is the round about to execute (0-based).
 	Round int
 	// Alive reports, per link index, whether the node is still alive at
 	// the start of the round.
 	Alive []bool
-	// Inbox returns the messages about to be delivered to a node this
-	// round; an adaptive adversary may inspect (but not alter) them. An
-	// accessor rather than a slice-of-slices: inbox views live in
-	// generation-stamped slabs, and the accessor is what filters out
-	// stale views of recipients that received nothing this round. May be
-	// nil when constructed by hand in tests.
-	Inbox func(node int) []Message
 	// Peek returns an algorithm-specific snapshot of a node's state
 	// (e.g. whether it is currently a committee member). It may be nil
 	// when the harness installs no state exporter.

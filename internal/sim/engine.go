@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 )
 
 // engine is the round engine behind Network: a persistent, sharded worker
@@ -24,15 +24,15 @@ import (
 //	count    every shard walks its nodes' outboxes, bumping a per-worker
 //	         × per-recipient counter and accumulating metrics into a
 //	         per-shard accumulator (lock-free: shards touch disjoint
-//	         cells); the coordinator then plans this round's shared
-//	         aggregate segments (planShared);
+//	         cells); the coordinator then plans and fills this round's
+//	         shared aggregate segments (planShared);
 //	deliver  every shard turns the counters for *its recipients* into
 //	         exclusive prefix offsets and carves this round's inbox views
 //	         out of the shard's slab — a counting sort by sender,
 //	         exploiting that worker w's senders all precede worker w+1's
 //	         — then binds each recipient whose only source is one shared
 //	         segment to it zero-copy;
-//	scatter  every shard writes its surviving messages into the
+//	scatter  every shard writes its surviving explicit messages into the
 //	         recipients' inboxes at the precomputed offsets;
 //	merge    only in rounds where some recipient has several sources (an
 //	         individual view and a shared segment, or two segments):
@@ -141,53 +141,58 @@ type engine struct {
 	prevRecip  []int
 	countsFull bool // last round ran parallel: counts[0] needs a full reset
 
-	aliveView   []bool
-	filters     map[int]SendFilter
-	filterOrder []int
-	keepFor     map[int][]bool // per filtered sender: per-message verdict
-	keepPool    [][]bool
-	previews    map[int][]Message
-	rushInbox   []Message
-	roundEnd    []func() // coordinator hooks run at the end of every round
+	aliveView []bool
+	// midSends lists this round's mid-send crashes, sorted by node; each
+	// entry's verdicts are a range of keepBuf (see evalFilters).
+	midSends  []midSend
+	keepBuf   []bool
+	previews  [][]Message // per rushList position: this round's preview
+	rushInbox []Message
+	roundEnd  []func() // coordinator hooks run at the end of every round
 
 	// Shared-aggregate delivery (ToSet multicasts; ToAll is ToSet(0)).
 	// A sender whose round outbox is exactly one unfiltered shared entry
 	// is recorded in its worker's sharedRecs instead of the per-recipient
 	// counters; planShared (coordinator, between count and deliver) carves
 	// one aggregate segment per distinct shared target out of the parity
-	// aggregate slab and precomputes per-worker scatter cursors, so the
-	// segment comes out in global sender order. Recipients whose only
-	// traffic is a single segment are *bound* to it zero-copy (their view
-	// still carries the sender's To sentinel); recipients with several
-	// sources are merged into per-worker merge slabs by the phMerge
-	// phase. See docs/MEMORY.md.
+	// aggregate slab and fills it in global sender order. Recipients
+	// whose only traffic is a single segment are *bound* to it zero-copy
+	// (their view still carries the sender's To sentinel); recipients
+	// with several sources are merged into per-worker merge slabs by the
+	// phMerge phase. See docs/MEMORY.md.
 	sets       *Sets
 	sharedRecs [][]sharedRec // per worker: pure-shared senders, ascending
-	sharedCur  [][]int32     // per worker × active set: scatter cursor
 	actSets    []actSet      // this round's distinct shared targets
 	aggSlabs   [2]inboxSlab  // aggregate segments, by round parity
-	aggBuf     []Message     // this round's aggregate slab fill
 	aggActive  bool
-	srcSet     []int32   // per recipient: actSets index of its named source
-	srcGen     []uint32  // stamp for srcSet
-	clsGen     []uint32  // per recipient: classification-done stamp
+	srcSet     []int32 // per recipient: actSets index of its named source
+	// srcGen stamps srcSet; classifying a recipient clears it again.
+	srcGen     []uint32
 	mergeList  [][]int32 // per worker: recipients needing a k-way merge
 	mergeSlabs [2][]inboxSlab
 	expand     []expandPool // per worker: shared-entry expansion buffers
 }
 
-// sharedRec records one pure-shared sender for the scatter cursors: to
-// is the sender's shared recipient (ToSet sentinel).
+// midSend is one node crashed mid-send this round: its filter and, once
+// evalFilters has run, its verdicts, one per wire message, as
+// keepBuf[lo:hi].
+type midSend struct {
+	node   int
+	filter SendFilter
+	lo, hi int
+}
+
+// sharedRec records one pure-shared sender for planShared: to is the
+// sender's shared recipient (ToSet sentinel).
 type sharedRec struct {
 	from int32
 	to   int32
 }
 
 // actSet is one distinct shared target active this round: its aggregate
-// segment (a sender-ordered view into the aggregate slab) and layout.
+// segment (a sender-ordered view into the aggregate slab) and length.
 type actSet struct {
 	to    int // shared recipient (ToSet sentinel)
-	start int
 	total int
 	seg   []Message
 }
@@ -272,7 +277,6 @@ func (e *engine) reset(nodes []Node) {
 	e.aliveView = growSpan(e.aliveView, n)
 	e.srcSet = growSpan(e.srcSet, n)
 	e.srcGen = growSpan(e.srcGen, n)
-	e.clsGen = growSpan(e.clsGen, n)
 	for i := 0; i < n; i++ {
 		e.alive[i] = true
 		e.crashedAt[i] = -1
@@ -283,9 +287,9 @@ func (e *engine) reset(nodes []Node) {
 		// previous run's slab view to a fresh node.
 		e.inboxes[i], e.nextInb[i] = nil, nil
 		e.inbGen[i], e.nextGen[i] = 0, 0
-		// The aggregate stamps share the zeroed-means-never convention
+		// The aggregate stamp shares the zeroed-means-never convention
 		// (round stamps start at 1), so cross-run staleness is impossible.
-		e.srcGen[i], e.clsGen[i] = 0, 0
+		e.srcGen[i] = 0
 		e.outs[i] = nil
 		e.acted[i] = false
 		e.quiet[i], _ = nodes[i].(Quiescent)
@@ -307,21 +311,9 @@ func (e *engine) reset(nodes []Node) {
 	e.mergeBuf = e.mergeBuf[:0]
 	e.prevFull, e.countsFull = true, true
 	e.recip, e.prevRecip = e.recip[:0], e.prevRecip[:0]
-	if e.filters == nil {
-		e.filters = make(map[int]SendFilter)
-	} else {
-		clear(e.filters)
-	}
-	e.filterOrder = e.filterOrder[:0]
-	if e.keepFor == nil {
-		e.keepFor = make(map[int][]bool)
-	} else {
-		for node, keep := range e.keepFor {
-			delete(e.keepFor, node)
-			e.keepPool = append(e.keepPool, keep[:0])
-		}
-	}
-	e.previews = nil
+	clear(e.midSends) // before truncating: see StepRound
+	e.midSends = e.midSends[:0]
+	clear(e.previews)
 	e.rushInbox = e.rushInbox[:0]
 	e.aggActive = false
 	e.actSets = e.actSets[:0]
@@ -392,9 +384,6 @@ func (e *engine) finishSetup() {
 	for len(e.sharedRecs) < p {
 		e.sharedRecs = append(e.sharedRecs, nil)
 	}
-	for len(e.sharedCur) < p {
-		e.sharedCur = append(e.sharedCur, nil)
-	}
 	for len(e.mergeList) < p {
 		e.mergeList = append(e.mergeList, nil)
 	}
@@ -418,9 +407,7 @@ func (e *engine) finishSetup() {
 			e.rushList = append(e.rushList, i)
 		}
 	}
-	if len(e.rushList) > 0 {
-		e.previews = make(map[int][]Message, len(e.rushList))
-	}
+	e.previews = growSpan(e.previews, len(e.rushList))
 	e.adaptive = e.reqWorkers <= 0 && e.workers > 1
 	e.active = e.workers
 }
@@ -532,11 +519,29 @@ func (e *engine) shouldStep(i int) bool {
 	if e.alive[i] {
 		return true
 	}
-	if e.crashedAt[i] != e.round {
-		return false
+	return e.crashedAt[i] == e.round && e.midSendOf(i) != nil
+}
+
+// midSendOf returns node i's entry on this round's mid-send list, or nil
+// when i did not crash mid-send this round.
+func (e *engine) midSendOf(i int) *midSend {
+	if len(e.midSends) == 0 {
+		return nil
 	}
-	_, midSend := e.filters[i]
-	return midSend
+	k, ok := slices.BinarySearchFunc(e.midSends, i, func(m midSend, node int) int { return cmp.Compare(m.node, node) })
+	if !ok {
+		return nil
+	}
+	return &e.midSends[k]
+}
+
+// verdicts returns acted sender i's per-wire-message verdicts, or nil
+// when i did not crash mid-send this round: every message goes out.
+func (e *engine) verdicts(i int) []bool {
+	if m := e.midSendOf(i); m != nil {
+		return e.keepBuf[m.lo:m.hi]
+	}
+	return nil
 }
 
 // StepRound executes exactly one synchronous round:
@@ -553,8 +558,11 @@ func (e *engine) StepRound() {
 	// any stateful mid-send filters it installs) must be consumed in a
 	// deterministic order regardless of the worker count.
 	copy(e.aliveView, e.alive)
-	view := View{Round: e.round, Alive: e.aliveView, Inbox: e.inboxOf, Peek: e.peek}
-	clear(e.filters)
+	view := View{Round: e.round, Alive: e.aliveView, Peek: e.peek}
+	// Clear before truncating: a truncated list would keep last round's
+	// filters, and the memo state they close over, reachable.
+	clear(e.midSends)
+	e.midSends = e.midSends[:0]
 	for _, order := range e.adv.Crashes(view) {
 		if order.Node < 0 || order.Node >= n || !e.alive[order.Node] {
 			continue
@@ -562,9 +570,10 @@ func (e *engine) StepRound() {
 		e.alive[order.Node] = false
 		e.crashedAt[order.Node] = e.round
 		if order.Filter != nil {
-			e.filters[order.Node] = order.Filter
+			e.midSends = append(e.midSends, midSend{node: order.Node, filter: order.Filter})
 		}
 	}
+	slices.SortFunc(e.midSends, func(a, b midSend) int { return cmp.Compare(a.node, b.node) })
 
 	if e.adaptive {
 		if int64(n)+3*e.lastMsgs >= adaptiveSpill {
@@ -584,7 +593,7 @@ func (e *engine) StepRound() {
 	for w := 0; w < e.active; w++ {
 		e.expand[w].used = 0
 	}
-	if len(e.filters) > 0 {
+	if len(e.midSends) > 0 {
 		e.evalFilters()
 	}
 	e.runPhase(phCount)
@@ -740,8 +749,8 @@ func (e *engine) stepNode(i int) bool {
 // before the count phase — in ascending sender order, exactly as the
 // sequential engine made them.
 func (e *engine) stepRushers() {
-	for k, v := range e.previews {
-		e.previews[k] = v[:0]
+	for k := range e.previews {
+		e.previews[k] = e.previews[k][:0]
 	}
 	if e.active == 1 {
 		// Coordinator-only round: wave 1's acted senders are exactly the
@@ -756,12 +765,12 @@ func (e *engine) stepRushers() {
 			}
 		}
 	}
-	for _, r := range e.rushList {
+	for k, r := range e.rushList {
 		if !e.shouldStep(r) {
 			continue
 		}
 		inbox := e.inboxOf(r)
-		if preview := e.previews[r]; len(preview) > 0 {
+		if preview := e.previews[k]; len(preview) > 0 {
 			// Previews were appended in ascending sender order, so the
 			// combined inbox stays sorted by sender.
 			e.rushInbox = append(append(e.rushInbox[:0], inbox...), preview...)
@@ -796,18 +805,21 @@ func (e *engine) stepRushers() {
 // onto their previews, in emission order.
 func (e *engine) previewSender(i int) {
 	n := len(e.nodes)
-	filter := e.filters[i]
+	var filter SendFilter
+	if m := e.midSendOf(i); m != nil {
+		filter = m.filter
+	}
 	for _, msg := range e.outs[i] {
 		if msg.To < 0 {
 			// Shared multicast: the rushers that are members, visited
 			// ascending over rushList — the explicit Multicast's emission
 			// (and filter-call) order, at O(rushers·log|set|).
 			members := e.sets.membersOf(msg.To)
-			for _, r := range e.rushList {
+			for k, r := range e.rushList {
 				if !containsMember(members, r) || (filter != nil && !filter(r)) {
 					continue
 				}
-				e.previews[r] = append(e.previews[r], Message{From: i, To: r, Payload: msg.Payload})
+				e.previews[k] = append(e.previews[k], Message{From: i, To: r, Payload: msg.Payload})
 			}
 			continue
 		}
@@ -817,66 +829,39 @@ func (e *engine) previewSender(i int) {
 		if filter != nil && !filter(msg.To) {
 			continue
 		}
+		k, _ := slices.BinarySearch(e.rushList, msg.To)
 		msg.From = i
-		e.previews[msg.To] = append(e.previews[msg.To], msg)
+		e.previews[k] = append(e.previews[k], msg)
 	}
 }
 
-// evalFilters records, for every mid-send crasher, which of its messages
-// survive. Filters may share a memoizing rng (adversary.randomHalfFilter),
-// so they are evaluated once, sequentially, in ascending (sender, message)
-// order — the order the sequential engine called them in — and the parallel
-// phases consume the recorded verdicts instead of re-invoking the filter.
+// evalFilters records, for every acted mid-send crasher, which of its
+// messages survive. Filters may share a memoizing rng
+// (adversary.randomHalfFilter), so they are evaluated once, sequentially,
+// in ascending (sender, message) order — the midSends list is sorted by
+// node — and the parallel phases read the recorded verdicts through
+// verdicts instead of re-invoking the filter.
 func (e *engine) evalFilters() {
 	n := len(e.nodes)
-	e.filterOrder = e.filterOrder[:0]
-	for node := range e.filters {
-		e.filterOrder = append(e.filterOrder, node)
-	}
-	sort.Ints(e.filterOrder)
-	for node, keep := range e.keepFor {
-		delete(e.keepFor, node)
-		e.keepPool = append(e.keepPool, keep[:0])
-	}
-	for _, s := range e.filterOrder {
-		if !e.acted[s] {
-			continue
-		}
-		filter := e.filters[s]
-		orig := e.outs[s]
-		out := orig
-		if hasShared(orig) {
-			// Keep verdicts index one wire message each, so shared entries
-			// are expanded into exactly the explicit emission sequence.
-			out = e.expandOutbox(0, s)
-		}
-		var keep []bool
-		if k := len(e.keepPool); k > 0 {
-			keep = e.keepPool[k-1]
-			e.keepPool = e.keepPool[:k-1]
-		}
-		allKept := true
-		for k := range out {
-			to := out[k].To
-			if to < 0 || to >= n {
-				panic(fmt.Sprintf("sim: node %d sent to invalid link %d", s, to))
+	e.keepBuf = e.keepBuf[:0]
+	for k := range e.midSends {
+		m := &e.midSends[k]
+		m.lo = len(e.keepBuf)
+		if e.acted[m.node] {
+			out := e.outs[m.node]
+			if hasShared(out) {
+				// Verdicts index one wire message each, so shared entries
+				// are expanded into exactly the explicit emission sequence.
+				out = e.expandOutbox(0, m.node)
 			}
-			v := filter(to)
-			allKept = allKept && v
-			keep = append(keep, v)
+			for _, msg := range out {
+				if msg.To < 0 || msg.To >= n {
+					panic(fmt.Sprintf("sim: node %d sent to invalid link %d", m.node, msg.To))
+				}
+				e.keepBuf = append(e.keepBuf, m.filter(msg.To))
+			}
 		}
-		if allKept && len(orig) != len(out) {
-			// The filter kept every wire message, so the expansion changed
-			// nothing observable: restore the shared representation and
-			// drop the verdicts, letting the sender rejoin the aggregate
-			// path. Only senders whose filter actually diverged pay for
-			// per-recipient deltas.
-			e.outs[s] = orig
-			e.keepPool = append(e.keepPool, keep[:0])
-			e.expand[0].used--
-			continue
-		}
-		e.keepFor[s] = keep
+		m.hi = len(e.keepBuf)
 	}
 }
 
@@ -925,7 +910,6 @@ func (e *engine) expandOutbox(w, i int) Outbox {
 func (e *engine) phaseCount(w, lo, hi int) {
 	counts := e.counts[w]
 	sh := &e.shards[w]
-	anyFilters := len(e.filters) > 0
 	e.sharedRecs[w] = e.sharedRecs[w][:0]
 	if e.active == 1 {
 		// Coordinator-only round: reset only the counter cells the
@@ -945,7 +929,7 @@ func (e *engine) phaseCount(w, lo, hi int) {
 		e.recip = e.recip[:0]
 		sh.reset()
 		for _, i := range e.stepped {
-			e.countSender(w, sh, counts, i, anyFilters, true)
+			e.countSender(w, sh, counts, i, true)
 		}
 		return
 	}
@@ -957,7 +941,7 @@ func (e *engine) phaseCount(w, lo, hi int) {
 		if !e.acted[i] {
 			continue
 		}
-		e.countSender(w, sh, counts, i, anyFilters, false)
+		e.countSender(w, sh, counts, i, false)
 	}
 }
 
@@ -971,21 +955,18 @@ func (e *engine) phaseCount(w, lo, hi int) {
 // A sender whose outbox is exactly one unfiltered shared entry takes the
 // aggregate path: one addN bills the full fan-out, the
 // per-recipient counters stay untouched, and the sender joins the
-// worker's sharedRecs for planShared/scatterShared. An outbox that mixes
+// worker's sharedRecs for planShared. An outbox that mixes
 // shared entries with anything else is expanded into explicit messages
 // first (worker-local buffers), preserving its emission order exactly —
 // shared targets never reach the explicit loop below.
-func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, anyFilters, track bool) {
+func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, track bool) {
 	out := e.outs[i]
 	if len(out) == 0 {
 		return
 	}
 	n := len(e.nodes)
 	limit := e.metrics.CongestLimit
-	var keep []bool
-	if anyFilters {
-		keep = e.keepFor[i]
-	}
+	keep := e.verdicts(i)
 	honest := !e.byzantine[i]
 	if keep == nil && len(out) == 1 && out[0].To < 0 {
 		msg := &out[0]
@@ -1028,61 +1009,43 @@ func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, anyF
 // planShared runs on the coordinator between the count and deliver
 // phases: it discovers this round's distinct shared targets, carves one
 // aggregate segment per target out of the parity aggregate slab, and
-// seeds per-worker scatter cursors so that each segment is filled in
-// global sender order (workers ascending, senders ascending within each
-// worker — the same order the counting sort assigns explicit slots in).
-// Cost: O(shared senders + targets × workers); rounds without shared
-// traffic pay one boolean scan over the active workers.
+// fills each segment with the true sender stamped. It walks the
+// workers' sharedRecs in order — workers ascending, senders ascending
+// within each worker, the order the counting sort assigns explicit
+// slots in — so every segment comes out in global sender order. Cost:
+// O(shared senders × targets); targets are a handful at most.
 func (e *engine) planShared() {
 	e.actSets = e.actSets[:0]
-	e.aggActive = false
-	any := false
-	for w := 0; w < e.active; w++ {
-		if len(e.sharedRecs[w]) > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	e.aggActive = true
+	total := 0
 	for w := 0; w < e.active; w++ {
 		for _, r := range e.sharedRecs[w] {
-			if e.actIdx(r.to) < 0 {
+			idx := e.actIdx(r.to)
+			if idx < 0 {
+				idx = len(e.actSets)
 				e.actSets = append(e.actSets, actSet{to: int(r.to)})
 			}
+			e.actSets[idx].total++
+			total++
 		}
 	}
-	na := len(e.actSets)
-	for w := 0; w < e.active; w++ {
-		cur := growSpan(e.sharedCur[w], na)
-		for i := 0; i < na; i++ {
-			cur[i] = 0
-		}
-		for _, r := range e.sharedRecs[w] {
-			cur[e.actIdx(r.to)]++
-		}
-		e.sharedCur[w] = cur
+	e.aggActive = total > 0
+	if !e.aggActive {
+		return
 	}
-	// Exclusive prefix over (target, worker): cursors become absolute
-	// write offsets into the aggregate slab.
+	buf := e.aggSlabs[e.round&1].fill(total)
 	off := 0
 	for i := range e.actSets {
 		a := &e.actSets[i]
-		t := int32(0)
-		for w := 0; w < e.active; w++ {
-			c := e.sharedCur[w][i]
-			e.sharedCur[w][i] = int32(off) + t
-			t += c
-		}
-		a.start, a.total = off, int(t)
-		off += int(t)
+		a.seg = buf[off : off : off+a.total]
+		off += a.total
 	}
-	e.aggBuf = e.aggSlabs[e.round&1].fill(off)
-	for i := range e.actSets {
-		a := &e.actSets[i]
-		a.seg = e.aggBuf[a.start : a.start+a.total : a.start+a.total]
+	for w := 0; w < e.active; w++ {
+		for _, r := range e.sharedRecs[w] {
+			a := &e.actSets[e.actIdx(r.to)]
+			msg := e.outs[r.from][0]
+			msg.From = int(r.from)
+			a.seg = append(a.seg, msg)
+		}
 	}
 }
 
@@ -1095,26 +1058,6 @@ func (e *engine) actIdx(to int32) int {
 		}
 	}
 	return -1
-}
-
-// scatterShared writes worker w's pure-shared senders into the aggregate
-// segments at the planned cursors, stamping the true sender. Workers
-// write disjoint cursor ranges, and walking sharedRecs in order keeps
-// every segment in global sender order.
-func (e *engine) scatterShared(w int) {
-	recs := e.sharedRecs[w]
-	if len(recs) == 0 {
-		return
-	}
-	cur := e.sharedCur[w]
-	for _, r := range recs {
-		idx := e.actIdx(r.to)
-		pos := cur[idx]
-		cur[idx] = pos + 1
-		msg := e.outs[r.from][0]
-		msg.From = int(r.from)
-		e.aggBuf[pos] = msg
-	}
 }
 
 // deliverShared classifies the recipients of this round's aggregate
@@ -1141,15 +1084,15 @@ func (e *engine) deliverShared(w, lo, hi int, stamp uint32) {
 		}
 	}
 	// Only members of an active set have a shared source; walk those,
-	// classifying each recipient once.
+	// classifying each recipient once: classification clears the stamp.
 	for idx := range e.actSets {
 		members := e.sets.membersOf(e.actSets[idx].to)
 		for j := lowerBound(members, lo); j < len(members) && int(members[j]) < hi; j++ {
 			to := int(members[j])
-			if e.clsGen[to] == stamp {
+			if e.srcGen[to] != stamp {
 				continue
 			}
-			e.clsGen[to] = stamp
+			e.srcGen[to] = 0
 			ml = e.classifyShared(to, stamp, ml)
 		}
 	}
@@ -1317,21 +1260,17 @@ func (e *engine) phaseDeliver(w, lo, hi int) {
 	}
 }
 
-// phaseScatter places the shard's surviving messages at their precomputed
-// inbox offsets, stamping the true sender (authenticated channels).
-// Distinct workers write disjoint ranges of each inbox.
+// phaseScatter places the shard's surviving explicit messages at their
+// precomputed inbox offsets, stamping the true sender (authenticated
+// channels). Distinct workers write disjoint ranges of each inbox.
 func (e *engine) phaseScatter(w, lo, hi int) {
 	counts := e.counts[w]
-	anyFilters := len(e.filters) > 0
-	if e.aggActive {
-		e.scatterShared(w)
-	}
 	if e.active == 1 {
 		// Coordinator-only round: walk just the senders that acted. The
 		// stepped list is ascending, so offsets are still assigned in
 		// global sender order.
 		for _, i := range e.stepped {
-			e.scatterSender(counts, i, anyFilters)
+			e.scatterSender(counts, i)
 		}
 		return
 	}
@@ -1339,25 +1278,22 @@ func (e *engine) phaseScatter(w, lo, hi int) {
 		if !e.acted[i] {
 			continue
 		}
-		e.scatterSender(counts, i, anyFilters)
+		e.scatterSender(counts, i)
 	}
 }
 
 // scatterSender places one acted sender's surviving messages at their
 // precomputed inbox offsets — the phaseScatter per-sender body, shared by
 // the sharded scan and the coordinator-only stepped walk. Shared senders
-// are skipped: scatterShared already placed their single entry in an
+// are skipped: planShared already placed their single entry in an
 // aggregate segment, and mixed outboxes were expanded during the count
 // phase, so no shared target ever reaches the per-message loop.
-func (e *engine) scatterSender(counts []int32, i int, anyFilters bool) {
+func (e *engine) scatterSender(counts []int32, i int) {
 	out := e.outs[i]
 	if len(out) == 1 && out[0].To < 0 {
 		return
 	}
-	var keep []bool
-	if anyFilters {
-		keep = e.keepFor[i]
-	}
+	keep := e.verdicts(i)
 	for k := range out {
 		if keep != nil && !keep[k] {
 			continue

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,20 +67,25 @@ func (a *sharedRNGAdversary) Crashes(v View) []CrashOrder {
 		}
 		order := CrashOrder{Node: idx}
 		if len(orders) == 0 {
-			decided := make(map[int]bool)
-			rng := a.rng
-			order.Filter = func(to int) bool {
-				if v, ok := decided[to]; ok {
-					return v
-				}
-				keep := rng.Intn(2) == 0
-				decided[to] = keep
-				return keep
-			}
+			order.Filter = memoFilter(a.rng)
 		}
 		orders = append(orders, order)
 	}
 	return orders
+}
+
+// memoFilter is a mid-send filter that flips one coin from the shared
+// rng per recipient, the first time it is asked, and remembers it.
+func memoFilter(rng *rand.Rand) SendFilter {
+	decided := make(map[int]bool)
+	return func(to int) bool {
+		if v, ok := decided[to]; ok {
+			return v
+		}
+		keep := rng.Intn(2) == 0
+		decided[to] = keep
+		return keep
+	}
 }
 
 // runDetScenario executes a fixed adversarial scenario (crashes with
@@ -145,6 +152,68 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 64} {
 		if got := runDetScenario(t, p); got != want {
 			t.Fatalf("workers=%d diverged from workers=1:\n got %s\nwant %s", p, got, want)
+		}
+	}
+}
+
+// midSendOrderAdversary crashes three nodes mid-send in each of rounds
+// 2..7, every filter a memoFilter over one shared rng, and returns the
+// orders sorted by node, descending or ascending.
+type midSendOrderAdversary struct {
+	rng *rand.Rand
+	asc bool
+}
+
+func (a *midSendOrderAdversary) Crashes(v View) []CrashOrder {
+	if v.Round < 2 || v.Round > 7 {
+		return nil
+	}
+	var orders []CrashOrder
+	for i := 0; len(orders) < 3 && i < len(v.Alive); i++ {
+		if idx := (v.Round*11 + i*7) % len(v.Alive); v.Alive[idx] {
+			orders = append(orders, CrashOrder{Node: idx, Filter: memoFilter(a.rng)})
+		}
+	}
+	slices.SortFunc(orders, func(x, y CrashOrder) int {
+		if a.asc {
+			return cmp.Compare(x.Node, y.Node)
+		}
+		return cmp.Compare(y.Node, x.Node)
+	})
+	return orders
+}
+
+// runMidSendOrder runs detNodes (one of them rushing) against a
+// midSendOrderAdversary and returns a hash of every delivered message.
+func runMidSendOrder(workers int, asc bool) uint64 {
+	const n = 32
+	simNodes := make([]Node, n)
+	for i := range simNodes {
+		simNodes[i] = &detNode{idx: i, n: n, state: uint64(i) + 1}
+	}
+	wire := fnv.New64a()
+	var nw *Network
+	nw = NewNetwork(simNodes,
+		WithCrashAdversary(&midSendOrderAdversary{rng: rand.New(rand.NewSource(7)), asc: asc}),
+		WithByzantine([]int{9}),
+		WithRushing([]int{9}),
+		WithEngineWorkers(workers),
+		WithRoundEnd(func() { writeDelivered(wire, nw.engine) }))
+	defer nw.Close()
+	for r := 0; r < 10; r++ {
+		nw.StepRound()
+	}
+	return wire.Sum64()
+}
+
+// TestMidSendFilterOrder: filters that share a memoizing rng decide
+// which messages survive by the order they are called in. The engine
+// calls them in ascending node order, so the adversary's own order of
+// the crashes changes no delivered message.
+func TestMidSendFilterOrder(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		if asc, desc := runMidSendOrder(workers, true), runMidSendOrder(workers, false); asc != desc {
+			t.Errorf("workers=%d: descending crash orders delivered %x, ascending %x", workers, desc, asc)
 		}
 	}
 }

@@ -72,17 +72,22 @@ func (r *Recorder) BusiestRound() (RoundSummary, bool) {
 }
 
 // Summary condenses a recording into the per-round traffic profile the
-// experiment runner embeds in its telemetry records: round count,
-// busiest round, and the mean/stddev message volume per round. Rounds
-// counts every executed round (quiet ones included) and the message
-// statistics use sent-on-the-wire semantics, as documented on Recorder.
+// experiment runner embeds in its telemetry records (it is
+// renaming.RoundStats). The message statistics use sent-on-the-wire
+// semantics, as documented on Recorder.
 type Summary struct {
-	Rounds          int
-	BusiestRound    int
-	BusiestMessages int
-	PeakBits        int
-	MeanMessages    float64
-	StddevMessages  float64
+	// Rounds is the number of rounds the network executed, including
+	// fully quiet rounds; it always equals the execution's round count.
+	Rounds int `json:"rounds"`
+	// BusiestRound and BusiestMessages locate the traffic peak.
+	BusiestRound    int `json:"busiestRound"`
+	BusiestMessages int `json:"busiestMessages"`
+	// PeakBits is the largest per-round bit volume.
+	PeakBits int `json:"peakBits"`
+	// MeanMessages and StddevMessages describe the per-round message
+	// distribution.
+	MeanMessages   float64 `json:"meanMessages"`
+	StddevMessages float64 `json:"stddevMessages"`
 }
 
 // Summary computes the recording's traffic profile.

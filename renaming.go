@@ -86,21 +86,9 @@ type Result struct {
 // telemetry the experiment runner records so a sweep artifact carries
 // the traffic shape, not just the totals. Message counts use
 // sent-on-the-wire semantics: a message to an already-crashed recipient
-// still counts, because the sender paid for it.
-type RoundStats struct {
-	// Rounds is the number of rounds the network executed, including
-	// fully quiet rounds; it always equals the execution's round count.
-	Rounds int `json:"rounds"`
-	// BusiestRound and BusiestMessages locate the traffic peak.
-	BusiestRound    int `json:"busiestRound"`
-	BusiestMessages int `json:"busiestMessages"`
-	// PeakBits is the largest per-round bit volume.
-	PeakBits int `json:"peakBits"`
-	// MeanMessages and StddevMessages describe the per-round message
-	// distribution.
-	MeanMessages   float64 `json:"meanMessages"`
-	StddevMessages float64 `json:"stddevMessages"`
-}
+// still counts, because the sender paid for it. Its fields are documented
+// on trace.Summary.
+type RoundStats = trace.Summary
 
 // fill computes Unique/OrderPreserving from the decided identities.
 func (r *Result) fill(ids []int) {
@@ -125,19 +113,6 @@ func (r *Result) fill(ids []int) {
 		if pairs[i].newID <= pairs[i-1].newID {
 			r.OrderPreserving = false
 		}
-	}
-}
-
-// roundStatsFrom converts a trace recording into the Result profile.
-func roundStatsFrom(rec *trace.Recorder) *RoundStats {
-	s := rec.Summary()
-	return &RoundStats{
-		Rounds:          s.Rounds,
-		BusiestRound:    s.BusiestRound,
-		BusiestMessages: s.BusiestMessages,
-		PeakBits:        s.PeakBits,
-		MeanMessages:    s.MeanMessages,
-		StddevMessages:  s.StddevMessages,
 	}
 }
 

@@ -166,12 +166,9 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 	if len(byzLinks) != len(spec.Byzantine) {
 		return nil, fmt.Errorf("renaming: %d Byzantine links outside [0,%d)", len(spec.Byzantine)-len(byzLinks), n)
 	}
-	opts := []sim.Option{sim.WithByzantine(byzLinks)}
-	if spec.Fault.Kind != 0 || spec.Fault.Custom != nil {
-		// Gated so pure-Byzantine runs keep their exact engine
-		// configuration (and determinism fingerprints) from before
-		// mixed-fault support existed.
-		opts = append(opts, sim.WithCrashAdversary(spec.Fault.build(spec.Seed)))
+	opts := []sim.Option{
+		sim.WithByzantine(byzLinks),
+		sim.WithCrashAdversary(spec.Fault.build(spec.Seed)),
 	}
 	if len(rushLinks) > 0 {
 		opts = append(opts, sim.WithRushing(rushLinks))
@@ -197,7 +194,8 @@ func runByzantine(n int, spec ByzSpec, pool *sim.Pool) (*Result, error) {
 		Crashes:     nw.Crashes(),
 	}
 	if recorder != nil {
-		res.RoundStats = roundStatsFrom(recorder)
+		profile := recorder.Summary()
+		res.RoundStats = &profile
 	}
 	byzInCommittee := 0
 	for i := 0; i < n; i++ {

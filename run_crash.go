@@ -227,7 +227,8 @@ func runCrash(n int, spec CrashSpec, pool *sim.Pool) (*Result, error) {
 	}
 	fillMetrics(res, nw)
 	if recorder != nil {
-		res.RoundStats = roundStatsFrom(recorder)
+		profile := recorder.Summary()
+		res.RoundStats = &profile
 	}
 	res.fill(spec.IDs)
 	res.AssumptionHolds = nw.AliveCount() > 0
