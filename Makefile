@@ -20,6 +20,8 @@ ci:
 	$(GO) test -run '^$$' -bench StepRound -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench ByzStepRound -benchtime 1x .
 	$(GO) test -run '^$$' -bench CrashStepRound -benchtime 1x .
+	bash bench/run.sh --workload crash-quiet --seconds 0 --trace 0
+	bash bench/run.sh --workload crash-killer --seconds 0 --trace 0
 	$(GO) test -run '^$$' -bench ChurnEpoch -benchtime 1x .
 	$(GO) run ./cmd/campaign -algo crash -n 64 -execs 50 -seed 1
 	$(GO) run ./cmd/campaign -algo service -n 64 -execs 8 -seed 1

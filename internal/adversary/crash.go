@@ -137,15 +137,22 @@ func (a *Scheduled) Crashes(view sim.View) []sim.CrashOrder {
 }
 
 // randomHalfFilter returns a SendFilter delivering each message with
-// probability 1/2, decided once per recipient for determinism.
+// probability 1/2, decided once per recipient for determinism: the first
+// query for a recipient draws its verdict, later ones reuse it. Verdicts
+// live in one slice indexed by recipient link (0 undecided, 1 drop, 2
+// deliver), grown on demand.
 func randomHalfFilter(rng *rand.Rand) sim.SendFilter {
-	decided := make(map[int]bool)
-	choice := make(map[int]bool)
+	var verdict []uint8
 	return func(to int) bool {
-		if !decided[to] {
-			decided[to] = true
-			choice[to] = rng.Intn(2) == 0
+		if to >= len(verdict) {
+			verdict = append(verdict, make([]uint8, to+1-len(verdict))...)
 		}
-		return choice[to]
+		if verdict[to] == 0 {
+			verdict[to] = 1
+			if rng.Intn(2) == 0 {
+				verdict[to] = 2
+			}
+		}
+		return verdict[to] == 2
 	}
 }

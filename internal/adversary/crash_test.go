@@ -102,3 +102,59 @@ func TestScheduled(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 }
+
+// mapHalfFilter is the two-map filter that randomHalfFilter's dense
+// verdict slice replaced, kept as its reference.
+func mapHalfFilter(rng *rand.Rand) sim.SendFilter {
+	decided := make(map[int]bool)
+	choice := make(map[int]bool)
+	return func(to int) bool {
+		if !decided[to] {
+			decided[to] = true
+			choice[to] = rng.Intn(2) == 0
+		}
+		return choice[to]
+	}
+}
+
+// TestRandomHalfFilterMatchesMaps drives the dense filter and the map
+// reference from equally seeded rngs and compares every verdict, then
+// each rng's next draw, which shows that both drew exactly once per
+// recipient and in the same order: every golden that runs a mid-send
+// crash depends on that shared stream.
+func TestRandomHalfFilterMatchesMaps(t *testing.T) {
+	const n = 300
+	var repeated, descending, random []int
+	for pass := 0; pass < 3; pass++ {
+		for to := 0; to < n; to++ {
+			repeated = append(repeated, to)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for to := n - 1; to >= 0; to-- {
+			descending = append(descending, to)
+		}
+	}
+	pick := rand.New(rand.NewSource(99))
+	for i := 0; i < 3*n; i++ {
+		random = append(random, pick.Intn(n))
+	}
+	orders := []struct {
+		name  string
+		order []int
+	}{{"repeated", repeated}, {"descending", descending}, {"random", random}}
+	for _, o := range orders {
+		for seed := int64(1); seed <= 3; seed++ {
+			denseRng, mapRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			dense, ref := randomHalfFilter(denseRng), mapHalfFilter(mapRng)
+			for i, to := range o.order {
+				if got, want := dense(to), ref(to); got != want {
+					t.Fatalf("%s seed %d: query %d (recipient %d) delivers %v, the map filter %v", o.name, seed, i, to, got, want)
+				}
+			}
+			if got, want := denseRng.Int63(), mapRng.Int63(); got != want {
+				t.Fatalf("%s seed %d: the rngs' next draws differ (%d vs %d): the filters drew different counts", o.name, seed, got, want)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"renaming/internal/interval"
 	"renaming/internal/sim"
@@ -139,8 +140,11 @@ type CrashNode struct {
 	halted  bool
 	decided bool
 
-	// committeeLinks holds, during rounds 3k+1 and 3k+2, the links that
-	// announced committee membership this phase.
+	// committeeLinks holds, in round 3k+1, the links that announced
+	// committee membership this phase, when this node's Notify inbox is
+	// a merged view or it runs without a registry. A node bound to the
+	// shared Notify view reads the aggregate's summary instead and never
+	// fills it.
 	committeeLinks []int
 
 	// sets is the engine's interned-set registry (sim.SetUser), letting
@@ -275,12 +279,7 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		}
 		return nil
 	case 1:
-		node.committeeLinks = node.committeeLinks[:0]
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(NotifyPayload); ok {
-				node.committeeLinks = append(node.committeeLinks, msg.From)
-			}
-		}
+		links, id, shared := node.committeeView(round, inbox)
 		// One status box per phase, shared by every copy of the
 		// multicast; recipients read it next round, long before the
 		// next rewrite two rounds later.
@@ -298,15 +297,12 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		// engine work instead of O(n·K). Nodes whose view diverged — a
 		// committee member crashed mid-Notify and the filter dropped some
 		// copies — fall back to the explicit Multicast below.
-		if node.sets != nil && len(node.committeeLinks) > 0 {
-			if id, ok := node.sets.InternPhase(uint64(round/3), node.committeeLinks); ok {
-				out = append(out, sim.Message{From: node.idx, To: sim.ToSet(id), Payload: payload})
-				node.outBuf = out
-				return out
+		if shared {
+			out = append(out, sim.Message{From: node.idx, To: sim.ToSet(id), Payload: payload})
+		} else {
+			for _, link := range links {
+				out = append(out, sim.Message{From: node.idx, To: link, Payload: payload})
 			}
-		}
-		for _, link := range node.committeeLinks {
-			out = append(out, sim.Message{From: node.idx, To: link, Payload: payload})
 		}
 		node.outBuf = out
 		return out
@@ -316,6 +312,49 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		}
 		return node.committeeAction(round, inbox)
 	}
+}
+
+// bound reports whether inbox is the engine's zero-copy shared view — its
+// entries keep the sender's ToSet sentinel, and every recipient bound to
+// the same aggregate segment holds the same slice — and this node has
+// the run's aggregate to summarize it in. Per-recipient merged or
+// individual views carry To == own link.
+func (node *CrashNode) bound(inbox []sim.Message) bool {
+	return node.agg != nil && len(inbox) > 0 && inbox[0].To < 0
+}
+
+// committeeView returns the links that announced committee membership
+// this phase, ascending, and their InternPhase answer (shared false: send
+// explicitly). A node bound to the shared Notify view takes both from the
+// aggregate's summary, built once per round by the first such node; a
+// node with a merged view, or without a registry, derives its own.
+func (node *CrashNode) committeeView(round int, inbox []sim.Message) (links []int, id int, shared bool) {
+	if node.bound(inbox) {
+		return node.agg.notifySummary(round, inbox, node.sets)
+	}
+	node.committeeLinks = appendNotifiers(node.committeeLinks[:0], inbox)
+	id, shared = internStatusSet(node.sets, round, node.committeeLinks)
+	return node.committeeLinks, id, shared
+}
+
+// appendNotifiers appends the senders of inbox's Notify announcements.
+func appendNotifiers(links []int, inbox []sim.Message) []int {
+	for _, msg := range inbox {
+		if _, ok := msg.Payload.(NotifyPayload); ok {
+			links = append(links, msg.From)
+		}
+	}
+	return links
+}
+
+// internStatusSet interns links as this phase's status set, keyed by the
+// bare phase; ok is false when there is no registry, no link, or the
+// phase's canonical set differs.
+func internStatusSet(sets *sim.Sets, round int, links []int) (id int, ok bool) {
+	if sets == nil || len(links) == 0 {
+		return 0, false
+	}
+	return sets.InternPhase(uint64(round/3), links)
 }
 
 // statusMsg pairs a received status with its sender link. The pointer
@@ -579,15 +618,24 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 	}
 }
 
-// committeeAggregate is the run-wide shared committee computation, one
-// object for all nodes of a run (distributed through sim.Sets.Scratch).
-// In a committee round every member receives the same n statuses; when
-// the engine bound them all to one shared aggregate view the inbox
-// slice identity is shared too, and the first member to step computes
-// the plan once for everyone, encodes its one response batch and interns
-// the batch's links as the phase's response set. Every member then sends
-// that batch as a single ToSet entry, so the engine stores K entries for
-// the K·n responses and a recipient decodes one batch.
+// committeeAggregate is the run-wide shared committee state, one object
+// for all nodes of a run (distributed through sim.Sets.Scratch). The
+// engine binds every recipient whose only traffic is one shared
+// aggregate segment to that segment zero-copy, so all of them hold the
+// same inbox slice. Whatever a node derives from such a view alone is
+// derived once per (round, view) by the first bound node to step, here,
+// and read by the rest — one summary per round of the phase:
+//
+//   - send-status round 3k+1: the links that sent Notify and their
+//     InternPhase answer, so a bound node neither rebuilds nor interns
+//     its K-entry committee view;
+//   - committee round 3k+2: the plan of Figure 2 over the n statuses,
+//     its one encoded response batch, and the batch's response set.
+//     Every member sends that batch as a single ToSet entry, so the
+//     engine stores K entries for the K·n responses;
+//   - response round 3k: the view's distinct batches, in inbox order, so
+//     a bound node decodes one entry per batch (one in a failure-free
+//     phase) instead of walking K entries that carry the same batch.
 //
 // The batch is stamped with the plan's maxP, the p every bound member
 // adopts: a member bound to the shared view sent its own status into it
@@ -595,38 +643,106 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 // diverged sent its status explicitly, which makes its own inbox a
 // merged view), so its p is at most maxP.
 //
-// Lifetimes: the plan, its links and the batch are written in committee
-// round 3k+2, read by recipients in round 3k+3, and rewritten no earlier
-// than the next committee round 3k+5 — the engine's one-round slack with
-// a round to spare. Statuses intern one canonical set per phase, so a
-// round has at most one shared status view and the plan is computed at
-// most once per round.
+// Lifetimes: a summary is written in its round, read by bound nodes in
+// the same round, and rewritten no earlier than the same round of the
+// next phase; the plan's links and batch are read by recipients in round
+// 3k+3, with a round to spare. Each of these rounds has at most one bound
+// view: Notify travels only to the universal set 0, statuses only to the
+// phase's one canonical set, and responses to set 0 (which covers the
+// phase's canonical response set, leaving its members merged) or to that
+// set alone. Storage is reused across rounds: a summary costs no
+// allocation once its slices have grown.
 type committeeAggregate struct {
-	mu    sync.Mutex
+	planOnce viewOnce
+	plan     committeePlan
+	batch    PackedResponses
+	setID    int  // the batch's response set
+	setOK    bool // false: not interned, send explicitly
+
+	notifyOnce  viewOnce
+	notifyLinks []int // committee links, ascending
+	notifyID    int   // their InternPhase answer
+	notifyOK    bool
+
+	respOnce viewOnce
+	batches  []*PackedResponses // distinct batches, inbox order
+}
+
+// viewKey names one round's bound shared view: the round, the address of
+// the view's first entry and its length. The zero key matches no view.
+type viewKey struct {
 	round int
-	key   *sim.Message // &inbox[0]: identity of the shared bound view
+	first *sim.Message
 	n     int
-	valid bool
-	plan  committeePlan
-	batch PackedResponses
-	setID int  // the batch's response set
-	setOK bool // false: not interned, send explicitly
+}
+
+// viewOnce builds one summary once per bound view. The first caller for
+// a view builds it under the lock and then publishes the round; a later
+// caller that sees the round published for its view reads the summary
+// without locking, so the n nodes of a round do not contend for one
+// mutex. Readers use a summary after do returns, outside any lock, so a
+// second view in a round whose summary is in use is a fault: do panics.
+type viewOnce struct {
+	mu    sync.Mutex
+	built atomic.Int64 // round+1 of key's completed build; 0: none
+	key   viewKey
+}
+
+// do runs build unless the summary already holds inbox's view.
+func (o *viewOnce) do(round int, inbox []sim.Message, build func()) {
+	key := viewKey{round, &inbox[0], len(inbox)}
+	if o.built.Load() == int64(round)+1 && o.key == key {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.key == key {
+		return
+	}
+	if o.key.round == round && o.key.first != nil {
+		panic(fmt.Sprintf("core: two bound shared views in round %d", round))
+	}
+	build()
+	o.key = key
+	o.built.Store(int64(round) + 1)
+}
+
+// notifySummary returns the bound Notify view's committee links and
+// their InternPhase answer.
+func (agg *committeeAggregate) notifySummary(round int, inbox []sim.Message, sets *sim.Sets) ([]int, int, bool) {
+	agg.notifyOnce.do(round, inbox, func() {
+		agg.notifyLinks = appendNotifiers(agg.notifyLinks[:0], inbox)
+		agg.notifyID, agg.notifyOK = internStatusSet(sets, round, agg.notifyLinks)
+	})
+	return agg.notifyLinks, agg.notifyID, agg.notifyOK
+}
+
+// responseBatches returns the bound response view's distinct batches.
+// A repeat is dropped only when it follows the same batch; reading a
+// batch twice would change nothing (see responseAcc).
+func (agg *committeeAggregate) responseBatches(round int, inbox []sim.Message) []*PackedResponses {
+	agg.respOnce.do(round, inbox, func() {
+		agg.batches = agg.batches[:0]
+		var last *PackedResponses
+		for _, msg := range inbox {
+			if b, ok := msg.Payload.(*PackedResponses); ok && b != last {
+				agg.batches = append(agg.batches, b)
+				last = b
+			}
+		}
+	})
+	return agg.batches
 }
 
 // committeeAction implements Figure 2 for one member. The inbox-pure
 // plan is computed by committeePlan.compute — through the shared
-// aggregate when this member's inbox is the shared bound view (all
-// entries keep the sender's ToSet sentinel), privately otherwise, on a
-// plan borrowed from planPool for this Step.
+// aggregate when this member's inbox is the shared bound view, privately
+// otherwise, on a plan borrowed from planPool for this Step.
 func (node *CrashNode) committeeAction(round int, inbox []sim.Message) sim.Outbox {
 	if len(inbox) == 0 {
 		return nil
 	}
-	// A delivered inbox whose To is still a shared sentinel is the
-	// engine's zero-copy bound view — identical (same backing array) for
-	// every member of the set. Per-recipient merged or individual views
-	// carry To == own link and take the private path.
-	if node.agg != nil && inbox[0].To < 0 {
+	if node.bound(inbox) {
 		return node.committeeShared(round, inbox)
 	}
 	pl := planPool.Get().(*committeePlan)
@@ -651,27 +767,22 @@ func (node *CrashNode) committeeAction(round int, inbox []sim.Message) sim.Outbo
 // (round, view).
 func (node *CrashNode) committeeShared(round int, inbox []sim.Message) sim.Outbox {
 	agg := node.agg
-	agg.mu.Lock()
-	if !agg.valid || agg.round != round || agg.key != &inbox[0] || agg.n != len(inbox) {
-		agg.round, agg.key, agg.n = round, &inbox[0], len(inbox)
+	agg.planOnce.do(round, inbox, func() {
 		pl := &agg.plan
 		pl.compute(&node.codec, node.cfg, node.n, inbox)
 		agg.batch.links = pl.links
 		node.codec.encodeBatch(&agg.batch, pl.respBase, pl.maxP)
 		agg.setID, agg.setOK = pl.intern(node.sets, round, node.n)
-		agg.valid = true
-	}
-	empty := len(agg.plan.respBase) == 0
-	maxP, id, ok := agg.plan.maxP, agg.setID, agg.setOK
-	agg.mu.Unlock()
-	if empty {
+	})
+	if len(agg.plan.respBase) == 0 {
 		return nil
 	}
+	maxP := agg.plan.maxP
 	if node.p > maxP {
 		panic(fmt.Sprintf("core: committee member %d has p=%d above its shared view's maximum %d", node.idx, node.p, maxP))
 	}
 	node.p = maxP
-	return node.emitBatch(&agg.batch, id, ok)
+	return node.emitBatch(&agg.batch, agg.setID, agg.setOK)
 }
 
 // emitBatch sends the member's response batch to its links: one ToSet
@@ -691,48 +802,60 @@ func (node *CrashNode) emitBatch(b *PackedResponses, id int, ok bool) sim.Outbox
 	return out
 }
 
+// responseAcc folds the responses a node reads at a phase start: the
+// one the old stable sort put first — the minimum under (D descending,
+// then interval Less), earliest arrival winning ties — the maximum
+// received p, and the early-stop flag. A response read twice changes
+// none of them.
+type responseAcc struct {
+	best    ResponsePayload
+	have    bool
+	maxP    int
+	sawDone bool
+}
+
+func (a *responseAcc) add(r *ResponsePayload) {
+	if !a.have || r.D > a.best.D || (r.D == a.best.D && interval.Less(r.I, a.best.I)) {
+		a.best = *r
+		a.have = true
+	}
+	if r.P > a.maxP {
+		a.maxP = r.P
+	}
+	if r.Done {
+		a.sawDone = true
+	}
+}
+
 // nodeAction implements Figure 3, run on the responses delivered at the
 // start of round 3k (sent by the committee in round 3k−1).
 func (node *CrashNode) nodeAction(round int, inbox []sim.Message) {
 	if round == 0 {
 		return // no previous phase
 	}
-	// One pass over the inbox: the response the old stable sort put
-	// first is the minimum under (D descending, then interval Less) with
-	// earliest-arrival tie-breaking — tracked directly, along with the
-	// maximum received p and the early-stop flag, without materialising
-	// or reordering a responses slice.
-	var best ResponsePayload
-	haveBest := false
-	maxP := node.p
-	sawDone := false
-	// Committee members that sent the shared batch all sent this node
-	// the same pointer. A batch read again would change nothing (best, maxP
-	// and sawDone are idempotent in a repeated response), so a repeat of
-	// the last batch is skipped; a batch is read only at this node's own
-	// link.
-	var last *PackedResponses
-	for _, msg := range inbox {
-		b, ok := msg.Payload.(*PackedResponses)
-		if !ok || b == last {
-			continue
+	// A node reads a batch only at its own link. Committee members that
+	// sent the shared batch all sent this node the same pointer, so a
+	// bound node reads the view's distinct batches from the aggregate,
+	// and any other node skips a repeat of the last batch.
+	acc := responseAcc{maxP: node.p}
+	var r ResponsePayload
+	if node.bound(inbox) {
+		for _, b := range node.agg.responseBatches(round, inbox) {
+			node.codec.decodeResponse(b.at(node.idx), &r)
+			acc.add(&r)
 		}
-		last = b
-		var r ResponsePayload
-		node.codec.decodeResponse(b.at(node.idx), &r)
-		if !haveBest || r.D > best.D || (r.D == best.D && interval.Less(r.I, best.I)) {
-			best = r
-			haveBest = true
-		}
-		if r.P > maxP {
-			maxP = r.P
-		}
-		if r.Done {
-			sawDone = true
+	} else {
+		var last *PackedResponses
+		for _, msg := range inbox {
+			if b, ok := msg.Payload.(*PackedResponses); ok && b != last {
+				last = b
+				node.codec.decodeResponse(b.at(node.idx), &r)
+				acc.add(&r)
+			}
 		}
 	}
 
-	if !haveBest {
+	if !acc.have {
 		// Figure 3 lines 1–3: the whole committee crashed this phase.
 		if !node.cfg.DisableReelectionDoubling {
 			node.p++
@@ -745,17 +868,17 @@ func (node *CrashNode) nodeAction(round int, inbox []sim.Message) {
 		// Figure 3 lines 5–12: adopt the deepest (then leftmost)
 		// decision, then catch up on p.
 		if !node.iv.Unit() {
-			node.d = best.D
-			node.iv = best.I
+			node.d = acc.best.D
+			node.iv = acc.best.I
 		}
-		if maxP > node.p {
-			node.p = maxP
+		if acc.maxP > node.p {
+			node.p = acc.maxP
 			if !node.elected && node.rng.Float64() < node.electProb(node.p) {
 				node.elected = true
 				node.everElected = true
 			}
 		}
-		if node.cfg.EarlyStop && sawDone && node.iv.Unit() {
+		if node.cfg.EarlyStop && acc.sawDone && node.iv.Unit() {
 			node.halted = true
 			node.decided = true
 			return

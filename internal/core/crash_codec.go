@@ -103,8 +103,14 @@ func (*PackedResponses) Kind() string { return KindResponse }
 func (b *PackedResponses) Bits() int { return int(b.bits) }
 
 // at returns the response addressed to link. A batch reaches only the
-// links it holds, so a miss is a delivery fault.
+// links it holds, so a miss is a delivery fault. Links are strictly
+// ascending from 0 or above, so links[j] >= j: entry link holds link
+// exactly when no link below it is missing — always, for a batch over
+// the universal set — and is then read without a search.
 func (b *PackedResponses) at(link int) *PackedResponse {
+	if link < len(b.links) && b.links[link] == int32(link) {
+		return &b.resp[link]
+	}
 	j, ok := slices.BinarySearch(b.links, int32(link))
 	if !ok {
 		panic(fmt.Sprintf("core: response batch holds no entry for link %d", link))

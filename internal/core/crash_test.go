@@ -138,6 +138,55 @@ func TestCrashSharedSendsMatchExplicit(t *testing.T) {
 	}
 }
 
+// TestBoundNodesBuildNoCommitteeView pins that a node bound to the
+// shared Notify view reads the aggregate's summary instead of rebuilding
+// its own K-entry committee view: after a failure-free run every node's
+// Notify inbox was the bound view in every phase, so no node's own list
+// ever grew.
+func TestBoundNodesBuildNoCommitteeView(t *testing.T) {
+	cfg := seqConfig(256, 16*256, 5)
+	cfg.CommitteeScale = 0.02
+	nw, nodes := buildCrashRun(t, cfg, sim.NoCrashes{}, false)
+	defer nw.Close()
+	if err := nw.Run(cfg.TotalRounds() + 1); err != nil {
+		t.Fatal(err)
+	}
+	checkUnique(t, nw, nodes)
+	built := 0
+	for _, node := range nodes {
+		if cap(node.committeeLinks) > 0 {
+			built++
+		}
+	}
+	if built > 0 {
+		t.Fatalf("%d of %d bound nodes built their own committee view", built, len(nodes))
+	}
+}
+
+// TestCrashPhaseAllocs pins the allocations of one failure-free phase
+// (three rounds) at n = 1024 on one engine worker to 5, the count from
+// before bound nodes read per-view summaries. The summaries live in
+// fixed storage reused across rounds; one that allocated each time it
+// is built would add at least one allocation per phase.
+func TestCrashPhaseAllocs(t *testing.T) {
+	const want = 5
+	cfg := seqConfig(1024, 16*1024, 1024)
+	cfg.CommitteeScale = 0.02
+	nw, _ := buildCrashRun(t, cfg, sim.NoCrashes{}, false, sim.WithEngineWorkers(1))
+	defer nw.Close()
+	for r := 0; r < 6; r++ { // two warm phases
+		nw.StepRound()
+	}
+	got := testing.AllocsPerRun(10, func() {
+		for r := 0; r < 3; r++ {
+			nw.StepRound()
+		}
+	})
+	if got > want {
+		t.Fatalf("a failure-free phase allocates %v times, want at most %d", got, want)
+	}
+}
+
 func TestCrashNoFailuresSmall(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64} {
 		cfg := seqConfig(n, 16*n+5, int64(n))

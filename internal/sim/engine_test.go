@@ -6,8 +6,10 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 )
 
 // pongPayload is a second payload kind so the per-kind run-length cache
@@ -250,6 +252,34 @@ func TestCloseIdempotent(t *testing.T) {
 	nw.StepRound()
 	nw.Close()
 	nw.Close()
+}
+
+// TestClosedNetworkFreesEngine pins that a closed, dropped Network lets
+// its engine go at the next GC. A finalizer still set on the handle
+// would keep the handle, and through it the engine with its slabs and
+// arenas, reachable until the GC after the finalizer ran. One worker
+// spawns no goroutine, so nothing else holds the engine.
+func TestClosedNetworkFreesEngine(t *testing.T) {
+	freed := closeAndDrop()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(time.Second):
+		t.Fatal("the engine of a closed, dropped Network survived a GC")
+	}
+}
+
+// closeAndDrop builds, steps and closes a 1-worker network and returns a
+// channel closed when its engine is collected; the handle dies with this
+// frame.
+func closeAndDrop() <-chan struct{} {
+	freed := make(chan struct{})
+	_, simNodes := buildEcho(4, 0)
+	nw := NewNetwork(simNodes, WithEngineWorkers(1))
+	runtime.SetFinalizer(nw.engine, func(*engine) { close(freed) })
+	nw.StepRound()
+	nw.Close()
+	return freed
 }
 
 // TestInvalidLinkPanicsParallel mirrors TestInvalidLinkPanics at a

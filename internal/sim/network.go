@@ -136,8 +136,11 @@ func NewNetwork(nodes []Node, opts ...Option) *Network {
 // Close releases the engine: a pooled handle returns its lease to the
 // Pool (workers stay parked for the next Acquire), a standalone handle
 // shuts its worker pool down. Idempotent; the Network must not be
-// stepped afterwards.
+// stepped afterwards. Close also drops the handle's finalizer: a pending
+// one would keep the engine, its slabs and its arenas reachable through
+// one more GC cycle after the handle is dropped.
 func (nw *Network) Close() {
+	runtime.SetFinalizer(nw, nil)
 	if nw.pool != nil {
 		if !nw.released {
 			nw.released = true
